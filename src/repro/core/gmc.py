@@ -45,10 +45,10 @@ Deviations from the pseudocode, all discussed in the paper:
 
 from __future__ import annotations
 
-import math
+import threading
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..algebra.expression import Expression, Matrix, Temporary, signature_digest
 from ..algebra.inference import infer_properties
@@ -60,19 +60,121 @@ from ..kernels.catalog import KernelCatalog
 from ..kernels.kernel import Kernel, KernelCall, Program
 from ..matching.patterns import Substitution
 from ..options import CompileOptions, warn_legacy
-from .parallel import (
-    DeadlineChecker,
-    DiagonalEnv,
-    WorkCounters,
-    get_backend,
-    make_decision_memo,
-    resolve_worker_count,
-    run_diagonals,
-    solver_work_telemetry,
-)
 
 #: Sentinel distinguishing "argument not passed" from explicit ``None``.
 _UNSET = object()
+
+
+class DeadlineChecker:
+    """A strided ``time.monotonic`` gate for ``deadline_s``.
+
+    One checker is created per solve and polled at every DP cell boundary.
+    To keep the poll cheap, the clock is only read every *stride* calls;
+    the stride adapts to the observed time between clock reads so cheap
+    cells amortize the syscall while expensive cells keep the truncation
+    point tight (target: one clock read every ~``_TARGET_S`` seconds,
+    stride clamped to [1, ``_MAX_STRIDE``]).  The very first call always
+    reads the clock, so an already-expired budget truncates before any work
+    happens (the truncation-point tests rely on this).  Expiry is sticky.
+    """
+
+    __slots__ = ("deadline", "_stride", "_budget", "_expired", "_last_check")
+
+    _MAX_STRIDE = 64
+    _TARGET_S = 0.002
+
+    def __init__(self, deadline_s: Optional[float]) -> None:
+        self.deadline = (
+            None if deadline_s is None else time.monotonic() + deadline_s
+        )
+        self._stride = 1
+        self._budget = 0  # calls left before the next real clock read
+        self._expired = False
+        self._last_check: Optional[float] = None
+
+    def expired(self) -> bool:
+        """Whether the budget has run out (strided clock reads)."""
+        if self.deadline is None:
+            return False
+        if self._expired:
+            return True
+        if self._budget > 0:
+            self._budget -= 1
+            return False
+        now = time.monotonic()
+        if now > self.deadline:
+            self._expired = True
+            return True
+        last = self._last_check
+        self._last_check = now
+        if last is not None:
+            elapsed = now - last
+            if elapsed < self._TARGET_S / 4 and self._stride < self._MAX_STRIDE:
+                self._stride *= 2
+            elif elapsed > self._TARGET_S and self._stride > 1:
+                self._stride //= 2
+        self._budget = self._stride - 1
+        return False
+
+
+class WorkCounters:
+    """Per-solve work counters surfaced on the solution objects.
+
+    ``cells_evaluated`` counts DP cells whose split loop ran to completion;
+    ``cells_pruned`` counts split *candidates* skipped by the lower-bound
+    prune inside those cells; ``diagonals`` counts anti-diagonals entered.
+    """
+
+    __slots__ = ("cells_evaluated", "cells_pruned", "diagonals")
+
+    def __init__(self) -> None:
+        self.cells_evaluated = 0
+        self.cells_pruned = 0
+        self.diagonals = 0
+
+
+class SolverWorkTelemetry:
+    """Process-global accumulator behind the ``solver`` telemetry layer.
+
+    Follows the uniform ``stats()`` / ``reset_stats()`` protocol of the
+    cache layers (:mod:`repro.telemetry`), so solver work aggregates across
+    pool workers exactly like cache counters do.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.reset_stats()
+
+    def record(self, counters: WorkCounters) -> None:
+        with self._lock:
+            self.solves += 1
+            self.cells_evaluated += counters.cells_evaluated
+            self.cells_pruned += counters.cells_pruned
+            self.diagonals += counters.diagonals
+
+    def stats(self) -> Dict[str, object]:
+        with self._lock:
+            return {
+                "layer": "solver",
+                "solves": self.solves,
+                "cells_evaluated": self.cells_evaluated,
+                "cells_pruned": self.cells_pruned,
+                "diagonals": self.diagonals,
+            }
+
+    def reset_stats(self) -> None:
+        self.solves = 0
+        self.cells_evaluated = 0
+        self.cells_pruned = 0
+        self.diagonals = 0
+
+
+_WORK_TELEMETRY = SolverWorkTelemetry()
+
+
+def solver_work_telemetry() -> SolverWorkTelemetry:
+    """The process-wide solver work accumulator (telemetry layer ``solver``)."""
+    return _WORK_TELEMETRY
 
 
 def coerce_solver_options(
@@ -196,7 +298,7 @@ class GMCSolution:
     #: expired mid-solve: the tables hold the best-so-far state and cells
     #: past the cutoff were never evaluated.
     complete: bool = True
-    #: Solver work counters (see :mod:`repro.core.parallel`): DP cells whose
+    #: Solver work counters (see :class:`WorkCounters`): DP cells whose
     #: split loop ran to completion, split candidates skipped by the
     #: lower-bound prune, and anti-diagonals entered.
     cells_evaluated: int = 0
@@ -368,7 +470,6 @@ class GMCAlgorithm:
         self.prune: bool = self.options.prune
         self.use_match_cache: bool = self.options.match_cache
         self.deadline_s = self.options.deadline_s
-        self.parallelism: str = self.options.parallelism
         #: Optional :class:`repro.obs.trace.Tracer` recording per-phase spans
         #: of every solve.  ``None`` (the default) keeps the DP loops on the
         #: untraced reference path -- the traced-off overhead the bench gate
@@ -391,7 +492,6 @@ class GMCAlgorithm:
                 solver="gmc",
                 n=len(factors),
                 metric=self.metric.name,
-                parallelism=self.parallelism,
             )
         solution = self._solve_factors(factors, expression)
         solution.generation_time = time.perf_counter() - start
@@ -441,13 +541,8 @@ class GMCAlgorithm:
 
         checker = DeadlineChecker(self.deadline_s)
         work = WorkCounters()
-        workers = resolve_worker_count(self.parallelism)
         tracer = self.tracer
-        if workers > 1:
-            complete = self._fill_parallel(
-                factors, n, costs, splits, choices, tmps, checker, work, workers
-            )
-        elif tracer is None:
+        if tracer is None:
             complete = self._fill_serial(
                 factors, n, costs, splits, choices, tmps, checker, work
             )
@@ -478,11 +573,7 @@ class GMCAlgorithm:
     def _fill_serial(
         self, factors, n, costs, splits, choices, tmps, checker, work, lengths=None
     ) -> bool:
-        """The serial reference loop (paper Fig. 4, exactly as before).
-
-        This path is deliberately left as the ascending-``k`` reference
-        implementation: the parallel tier (:meth:`_fill_parallel`) is
-        asserted bit-identical against it, diagonal by diagonal.
+        """The bottom-up reference loop of paper Fig. 4.
 
         *lengths* restricts the fill to the given anti-diagonals (the traced
         wrapper runs one at a time); ``None`` fills all of them.
@@ -493,8 +584,8 @@ class GMCAlgorithm:
         for length in range(1, n) if lengths is None else lengths:
             if not complete:
                 break
-            # Anti-diagonal ``length``: the work queue of independent cells
-            # (i, i + length); the serial tier drains it in ascending i.
+            # Anti-diagonal ``length``: the independent cells (i, i + length),
+            # filled in ascending i.
             work.diagonals += 1
             for i in range(0, n - length):
                 # Deadline enforcement (``options.deadline_s``): checked at
@@ -611,63 +702,6 @@ class GMCAlgorithm:
         finally:
             del self._best_kernel
             del self._commit_cell
-        return complete
-
-    def _fill_parallel(
-        self, factors, n, costs, splits, choices, tmps, checker, work, workers
-    ) -> bool:
-        """Dispatch each anti-diagonal across the parallel backend.
-
-        Cell tasks only read table state committed by previous diagonals;
-        commits happen on this thread, in ascending ``i`` order, after the
-        diagonal's queue has drained -- so the tables never hold a
-        half-written cell (see :mod:`repro.core.parallel` for why the
-        result is bit-identical to :meth:`_fill_serial`).
-        """
-
-        def operand(i: int, j: int):
-            return tmps[i][j]
-
-        def commit(i: int, j: int, entry) -> None:
-            if entry is None:
-                return
-            best_cost, k, (kernel, substitution, expr, kernel_cost) = entry
-            best_choice = _CellChoice(
-                kernel=kernel,
-                substitution=substitution,
-                expression=expr,
-                split=k,
-                kernel_cost=kernel_cost,
-            )
-            self._commit_cell(
-                factors, costs, splits, choices, tmps, i, j, best_cost, best_choice
-            )
-
-        # Memoize whole kernel decisions by split signature (sound under
-        # the same conditions as the match cache; the factory returns None
-        # otherwise, routing every split through the raw picker).
-        memo = (
-            make_decision_memo(self.catalog, self.metric, self._best_kernel)
-            if self.use_match_cache
-            else None
-        )
-
-        env = DiagonalEnv(
-            n=n,
-            costs=costs,
-            metric=self.metric,
-            prune=self.prune,
-            best_kernel=self._best_kernel,
-            decide_pair=memo.decide_pair if memo is not None else None,
-            operand=operand,
-            commit=commit,
-        )
-        complete = run_diagonals(
-            env, get_backend(workers), checker, work, tracer=self.tracer
-        )
-        if memo is not None:
-            work.memo_hits += memo.hits
-            work.memo_misses += memo.misses
         return complete
 
     def _commit_cell(

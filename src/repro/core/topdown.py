@@ -33,19 +33,12 @@ from ..options import CompileOptions
 from .gmc import (
     _UNSET,
     ChainLike,
+    DeadlineChecker,
     UncomputableChainError,
+    WorkCounters,
     _coerce_chain,
     _uncomputable_message,
     coerce_solver_options,
-)
-from .parallel import (
-    DeadlineChecker,
-    DiagonalEnv,
-    WorkCounters,
-    get_backend,
-    make_decision_memo,
-    resolve_worker_count,
-    run_diagonals,
     solver_work_telemetry,
 )
 
@@ -79,10 +72,10 @@ class TopDownSolution:
     #: ``False`` when the per-request deadline expired mid-solve (the table
     #: holds the best-so-far exploration state).
     complete: bool = True
-    #: Solver work counters (see :mod:`repro.core.parallel`): DP cells whose
-    #: split loop ran to completion, split candidates skipped by the
-    #: lower-bound prune, and anti-diagonals entered (0 for the lazy
-    #: serial recursion, which has no diagonal structure).
+    #: Solver work counters (see :class:`repro.core.gmc.WorkCounters`): DP
+    #: cells whose split loop ran to completion, split candidates skipped by
+    #: the lower-bound prune, and anti-diagonals entered (always 0: the lazy
+    #: recursion has no diagonal structure).
     cells_evaluated: int = 0
     cells_pruned: int = 0
     diagonals: int = 0
@@ -191,7 +184,6 @@ class TopDownGMC:
         self.prune: bool = self.options.prune
         self.use_match_cache: bool = self.options.match_cache
         self.deadline_s = self.options.deadline_s
-        self.parallelism: str = self.options.parallelism
         #: Optional :class:`repro.obs.trace.Tracer` (see GMCAlgorithm.tracer):
         #: ``None`` keeps the memoized recursion untouched.
         self.tracer = None
@@ -200,7 +192,7 @@ class TopDownGMC:
         tracer = self.tracer
         if tracer is None:
             return self._solve(chain)
-        tracer.begin("solve", solver="topdown", parallelism=self.parallelism)
+        tracer.begin("solve", solver="topdown")
         try:
             solution = self._solve(chain)
         except BaseException:
@@ -224,9 +216,6 @@ class TopDownGMC:
         factors = tuple(intern(factor) for factor in factors)
         checker = DeadlineChecker(self.deadline_s)
         work = WorkCounters()
-        workers = resolve_worker_count(self.parallelism)
-        if workers > 1:
-            return self._solve_parallel(factors, expression, workers, checker, work)
         table: Dict[Tuple[int, int], _SubChain] = {}
         operands: Dict[Tuple[int, int], Matrix] = {}
         state = {"expired": False}
@@ -327,124 +316,6 @@ class TopDownGMC:
             catalog=self.catalog,
             table=table,
             complete=not state["expired"],
-            cells_evaluated=work.cells_evaluated,
-            cells_pruned=work.cells_pruned,
-            diagonals=work.diagonals,
-        )
-
-    def _solve_parallel(
-        self,
-        factors: Tuple[Expression, ...],
-        expression: Expression,
-        workers: int,
-        checker: DeadlineChecker,
-        work: WorkCounters,
-    ) -> TopDownSolution:
-        """Parallel tier: fill the memo table bottom-up by anti-diagonals.
-
-        The lazy recursion has no independent work to hand a thread pool
-        (every cell transitively awaits its sub-cells), so the parallel
-        policy evaluates the same per-cell decision problem in bottom-up
-        anti-diagonal order through the shared diagonal runner.  The table
-        may gain entries the lazy exploration would have skipped; the
-        optimal cost and kernel sequence are unchanged (the per-cell
-        semantics are identical, see :mod:`repro.core.parallel`).
-        """
-        n = len(factors)
-        metric = self.metric
-        costs = [
-            [metric.zero if i == j else metric.infinity for j in range(n)]
-            for i in range(n)
-        ]
-        table: Dict[Tuple[int, int], _SubChain] = {}
-        operands: Dict[Tuple[int, int], Matrix] = {}
-
-        def operand(i: int, j: int) -> Matrix:
-            if i == j:
-                return factors[i]  # type: ignore[return-value]
-            # Only committed (computable) cells are ever dereferenced: a
-            # worker reaches (i, j) through a finite costs[i][j].
-            return operands[(i, j)]
-
-        def commit(i: int, j: int, entry) -> None:
-            if entry is None:
-                # Mirror the serial recursion: an explored cell with no
-                # computable split still records its infinite best.
-                table[(i, j)] = _SubChain(
-                    cost=metric.infinity,
-                    split=-1,
-                    kernel=None,
-                    substitution=None,
-                    expression=None,
-                    kernel_cost=metric.infinity,
-                    operand=None,
-                )
-                return
-            cost, k, (kernel, substitution, expr, kernel_cost) = entry
-            sub_chain = intern(Times(*factors[i : j + 1]))
-            cell_operand = Temporary(
-                rows=sub_chain.rows,
-                columns=sub_chain.columns,
-                properties=infer_properties(sub_chain),
-                origin=sub_chain,
-            )
-            operands[(i, j)] = cell_operand
-            costs[i][j] = cost
-            table[(i, j)] = _SubChain(
-                cost=cost,
-                split=k,
-                kernel=kernel,
-                substitution=substitution,
-                expression=expr,
-                kernel_cost=kernel_cost,
-                operand=cell_operand,
-            )
-
-        # Signature-keyed decision memo (see GMCAlgorithm._fill_parallel);
-        # None when signatures are untrusted, routing through the raw picker.
-        memo = (
-            make_decision_memo(self.catalog, metric, self._best_kernel)
-            if self.use_match_cache
-            else None
-        )
-
-        env = DiagonalEnv(
-            n=n,
-            costs=costs,
-            metric=metric,
-            prune=self.prune,
-            best_kernel=self._best_kernel,
-            decide_pair=memo.decide_pair if memo is not None else None,
-            operand=operand,
-            commit=commit,
-        )
-        complete = run_diagonals(
-            env, get_backend(workers), checker, work, tracer=self.tracer
-        )
-        if memo is not None:
-            work.memo_hits += memo.hits
-            work.memo_misses += memo.misses
-        if n > 1 and (0, n - 1) not in table:
-            # Deadline expired before the top diagonal: keep the accessors
-            # (optimal_cost/computable) total, exactly like the serial
-            # recursion's always-stored top cell.
-            table[(0, n - 1)] = _SubChain(
-                cost=metric.infinity,
-                split=-1,
-                kernel=None,
-                substitution=None,
-                expression=None,
-                kernel_cost=metric.infinity,
-                operand=None,
-            )
-        solver_work_telemetry().record(work)
-        return TopDownSolution(
-            factors=factors,
-            expression=expression,
-            metric=metric,
-            catalog=self.catalog,
-            table=table,
-            complete=complete,
             cells_evaluated=work.cells_evaluated,
             cells_pruned=work.cells_pruned,
             diagonals=work.diagonals,

@@ -43,14 +43,6 @@ class CostMetric:
     #: substitution).  Metrics with mutable state must set this to ``False``
     #: so :meth:`kernel_cost_cached` never serves stale values.
     cacheable: bool = True
-    #: Whether :meth:`kernel_cost` depends only on what the operands'
-    #: shape/property signature captures -- dimensions, declared properties
-    #: and the leaf-equality pattern -- never on operand *names* or object
-    #: identity.  True for every built-in metric (they price kernels from
-    #: shapes); the parallel tier's signature-keyed decision memo
-    #: (:class:`repro.core.parallel.KernelDecisionMemo`) requires it.
-    #: Metrics that inspect names must set this to ``False``.
-    signature_pure: bool = True
     #: Whether every kernel cost is guaranteed to be >= :attr:`zero` under
     #: :meth:`combine`.  True for all built-in metrics (FLOPs, time, traffic,
     #: penalties are non-negative); metrics that cannot promise it set this
@@ -103,22 +95,12 @@ class CostMetric:
             self._cost_misses += 1
             cost = self.kernel_cost(kernel, substitution)
             if len(cache) >= self.cost_cache_size:
-                try:
-                    cache.popitem(last=False)
-                    self._cost_evictions += 1
-                except KeyError:  # emptied by a concurrent solver thread
-                    pass
+                cache.popitem(last=False)
+                self._cost_evictions += 1
             cache[key] = cost
         else:
             self._cost_hits += 1
-            try:
-                cache.move_to_end(key)
-            except KeyError:
-                # The intra-solve thread pool shares this memo; a concurrent
-                # eviction can drop *key* between the get and the LRU touch.
-                # The cached cost is still valid -- losing one recency bump
-                # is harmless.
-                pass
+            cache.move_to_end(key)
         return cost
 
     @property
@@ -279,9 +261,6 @@ class WeightedSumMetric(CostMetric):
             raise ValueError("WeightedSumMetric requires at least one component")
         self.components = tuple(components)
         self.cacheable = all(metric.cacheable for metric, _ in self.components)
-        self.signature_pure = all(
-            metric.signature_pure for metric, _ in self.components
-        )
         self.nonnegative = all(
             metric.nonnegative and weight >= 0 for metric, weight in self.components
         )
@@ -312,7 +291,6 @@ class VectorMetric(CostMetric):
         self.zero = tuple(0.0 for _ in self.components)
         self.infinity = tuple(math.inf for _ in self.components)
         self.cacheable = all(metric.cacheable for metric in self.components)
-        self.signature_pure = all(metric.signature_pure for metric in self.components)
         # Componentwise non-negativity implies the lexicographic bound of
         # ``lower_bound`` is sound: adding a componentwise >= 0 kernel cost
         # never makes a tuple lexicographically smaller.
@@ -337,9 +315,7 @@ class CustomMetric(CostMetric):
     conservatively excluded from kernel-cost caching; pass
     ``cacheable=True`` when the function is pure.  Likewise they may return
     negative costs, so DP split pruning is off unless ``nonnegative=True``
-    promises that the function never does; and they may inspect operand
-    names, so the signature-keyed decision memo of the parallel tier is off
-    unless ``signature_pure=True`` promises shape/property-only pricing.
+    promises that the function never does.
     """
 
     def __init__(
@@ -348,13 +324,11 @@ class CustomMetric(CostMetric):
         name: str = "custom",
         cacheable: bool = False,
         nonnegative: bool = False,
-        signature_pure: bool = False,
     ) -> None:
         self._function = function
         self.name = name
         self.cacheable = cacheable
         self.nonnegative = nonnegative
-        self.signature_pure = signature_pure
 
     def kernel_cost(self, kernel: Kernel, substitution: Substitution) -> float:
         return float(self._function(kernel, substitution))

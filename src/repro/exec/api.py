@@ -274,24 +274,36 @@ def _reference_values(
 
 def _compare(
     candidate: np.ndarray, reference: np.ndarray, rtol: float, atol: float
-) -> Tuple[bool, float]:
-    """``(agrees, max_rel_error)`` in the scale-aware style of
-    :func:`repro.runtime.reference.allclose`."""
+) -> Tuple[bool, float, float]:
+    """``(agrees, max_rel_error, worst_ratio)`` in the scale-aware style of
+    :func:`repro.runtime.reference.allclose`.
+
+    *agrees* is the entrywise check ``|c - r| <= atol * scale + rtol * |r|``
+    (``scale`` = the reference's largest magnitude, at least 1), i.e.
+    ``np.allclose(c, r, rtol, atol * scale)``; *worst_ratio* is the largest
+    ``|c - r| / (atol * scale + rtol * |r|)``, so the check fails exactly
+    when it exceeds 1.  *max_rel_error* is the
+    largest ``|c - r| / scale`` -- a summary that can sit below ``rtol``
+    even when a small entry fails the check.
+    """
     candidate = np.asarray(candidate, dtype=float)
     reference = np.asarray(reference, dtype=float)
     if reference.shape != candidate.shape:
         if reference.size == candidate.size:
             reference = reference.reshape(candidate.shape)
         else:
-            return False, float("inf")
-    scale = max(1.0, float(np.max(np.abs(reference)))) if reference.size else 1.0
-    error = (
-        float(np.max(np.abs(candidate - reference))) / scale
-        if reference.size
-        else 0.0
-    )
-    agrees = bool(np.allclose(reference, candidate, rtol=rtol, atol=atol * scale))
-    return agrees, error
+            return False, float("inf"), float("inf")
+    if not reference.size:
+        return True, 0.0, 0.0
+    scale = max(1.0, float(np.max(np.abs(reference))))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        difference = np.abs(candidate - reference)
+        tolerance = atol * scale + rtol * np.abs(reference)
+        # Equal entries (also equal infinities) pass; NaNs never do.
+        ratios = np.where(candidate == reference, 0.0, difference / tolerance)
+    ratios[np.isnan(ratios)] = np.inf
+    worst = float(np.max(ratios))
+    return worst <= 1.0, float(np.max(difference)) / scale, worst
 
 
 def run_execute_request(
@@ -392,7 +404,7 @@ def run_execute_request(
                 value = interpreted
                 implementation = "interpreter"
             else:
-                engines_match, divergence = _compare(
+                engines_match, divergence, _ = _compare(
                     value, interpreted, request.rtol, request.atol
                 )
                 if not engines_match:
@@ -424,7 +436,7 @@ def run_execute_request(
             phase = "validate"
             t0 = time.perf_counter()
             references = _reference_values(result, environment)
-            validated, max_rel_error = _compare(
+            validated, max_rel_error, worst_ratio = _compare(
                 value, references[final_target], request.rtol, request.atol
             )
             timing["validate_s"] = time.perf_counter() - t0
@@ -458,8 +470,11 @@ def run_execute_request(
                     total_flops=result.total_flops,
                     error=(
                         f"result for {final_target!r} diverges from the "
-                        f"reference evaluation (max relative error "
-                        f"{max_rel_error:.3g} > rtol {request.rtol:.3g})"
+                        f"reference evaluation (worst entrywise error "
+                        f"{worst_ratio:.3g} > 1 times atol*scale + "
+                        f"rtol*|reference| with rtol {request.rtol:.3g}, "
+                        f"atol {request.atol:.3g}; max relative error "
+                        f"{max_rel_error:.3g})"
                     ),
                     phase="validate",
                     worker=worker,

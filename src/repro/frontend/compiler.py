@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
 from ..algebra.dsl import Program as ParsedProgram
-from ..algebra.dsl import parse_program
-from ..algebra.expression import Expression, Matrix
+from ..algebra.dsl import ParseError, parse_program
+from ..algebra.expression import Expression, Matrix, ShapeError
 from ..codegen import available_emitters, get_emitter
 from ..core import make_solver
 from ..core.gmc import UncomputableChainError
@@ -42,7 +42,6 @@ from ..core.segments import (
     decompose_program,
     segment_telemetry,
 )
-from ..core.parallel import solver_work_telemetry
 from ..cost.metrics import CostMetric, resolve_metric
 from ..kernels.catalog import KernelCatalog
 from ..kernels.kernel import KernelCall, Program
@@ -471,7 +470,6 @@ class Compiler:
                 )
                 match_hits0 = match_cache.hits
                 match_misses0 = match_cache.misses
-                memo_hits0 = solver_work_telemetry().stats().get("hits", 0)
             if use_plan_cache:
                 started = time.perf_counter()
                 if tracer is not None:
@@ -529,8 +527,8 @@ class Compiler:
             )
             if tracer is not None:
                 # Cache-hit provenance for this segment: whole-plan hit vs
-                # trivial alias vs cold DP, with the match-cache and
-                # decision-memo hit deltas the solve generated.
+                # trivial alias vs cold DP, with the match-cache hit deltas
+                # the solve generated.
                 if getattr(solution, "from_plan_cache", False):
                     provenance = "plan_cache"
                 elif seg.trivial:
@@ -541,9 +539,6 @@ class Compiler:
                     provenance=provenance,
                     match_cache_hits=match_cache.hits - match_hits0,
                     match_cache_misses=match_cache.misses - match_misses0,
-                    decision_memo_hits=(
-                        solver_work_telemetry().stats().get("hits", 0) - memo_hits0
-                    ),
                     flops=kernel_program.total_flops,
                 )
         if tracer is not None:
@@ -654,17 +649,6 @@ def compile_source(
 # Command line.
 # ---------------------------------------------------------------------------
 
-def _parallel_policy(value: str) -> str:
-    """argparse type for ``--parallel``: validate the policy eagerly."""
-    from ..core.parallel import parse_parallelism
-
-    try:
-        parse_parallelism(value)
-    except (TypeError, ValueError) as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    return value
-
-
 def build_options(args: argparse.Namespace) -> CompileOptions:
     """The one place CLI flags become a :class:`CompileOptions` value."""
     return CompileOptions(
@@ -672,7 +656,6 @@ def build_options(args: argparse.Namespace) -> CompileOptions:
         metric=args.metric,
         prune=not args.no_prune,
         match_cache=not args.no_match_cache,
-        parallelism=args.parallel,
         trace=getattr(args, "trace", None) is not None,
         profile=getattr(args, "profile", False),
     )
@@ -710,17 +693,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--no-match-cache",
         action="store_true",
         help="bypass the signature-keyed kernel-match cache",
-    )
-    parser.add_argument(
-        "--parallel",
-        default="serial",
-        type=_parallel_policy,
-        metavar="POLICY",
-        help=(
-            "intra-solve parallelism policy: 'serial' (default), "
-            "'threads:N' (dispatch each DP anti-diagonal across N "
-            "threads) or 'auto' (one thread per available core)"
-        ),
     )
     parser.add_argument(
         "--emit",
@@ -850,8 +822,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             ignored.append("--no-prune")
         if args.no_match_cache:
             ignored.append("--no-match-cache")
-        if args.parallel != "serial":
-            ignored.append("--parallel")
         if args.emit != "report":
             ignored.append("--emit")
         if args.trace is not None:
@@ -886,13 +856,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         text = sys.stdin.read()
     compiler = Compiler(build_options(args))
     profile = None
-    if args.profile:
-        from ..obs.profile import profile_call, profile_payload
+    try:
+        if args.profile:
+            from ..obs.profile import profile_call, profile_payload
 
-        result, profiler = profile_call(lambda: compiler.compile(text))
-        profile = profile_payload(profiler)
-    else:
-        result = compiler.compile(text)
+            result, profiler = profile_call(lambda: compiler.compile(text))
+            profile = profile_payload(profiler)
+        else:
+            result = compiler.compile(text)
+    except (ParseError, ShapeError, UncomputableChainError) as exc:
+        # Bad input is a user error, not a crash: one line, no traceback.
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     if args.emit == "report":
         print(result.report())
     else:

@@ -87,13 +87,8 @@ def _span_detail(span) -> Optional[str]:
     parts: List[str] = []
     for child in span.children:
         parts.append(f"{child.name} {child.duration * 1e3:.3f} ms")
-    hits = {
-        key: span.attrs[key]
-        for key in ("match_cache_hits", "decision_memo_hits")
-        if span.attrs.get(key)
-    }
-    for key, value in hits.items():
-        parts.append(f"{key}={value}")
+    if span.attrs.get("match_cache_hits"):
+        parts.append(f"match_cache_hits={span.attrs['match_cache_hits']}")
     return ", ".join(parts) if parts else None
 
 

@@ -57,7 +57,6 @@ _WIRE_KEYS = (
     "plan_cache",
     "deadline_s",
     "cost_cache_size",
-    "parallelism",
     "trace",
     "profile",
 )
@@ -132,27 +131,19 @@ class CompileOptions:
     deadline_s: Optional[float] = None
     #: Override for the per-metric kernel-cost LRU capacity.
     cost_cache_size: Optional[int] = None
-    #: Intra-solve parallelism policy (:mod:`repro.core.parallel`):
-    #: ``"serial"`` (the reference DP loops), ``"threads:N"`` (dispatch each
-    #: anti-diagonal across N persistent threads) or ``"auto"`` (one thread
-    #: per available core, respecting the service pool's per-worker cap).
-    #: The policy never changes the solution -- parallel and serial solves
-    #: are bit-identical -- so it is excluded from the plan-cache
-    #: fingerprint.
-    parallelism: str = "serial"
     #: Record a span tree for the compilation (:mod:`repro.obs.trace`):
     #: per-segment phases with cache-hit provenance and per-anti-diagonal DP
     #: spans, exposed as ``CompilationResult.trace``.  Diagnostic only -- it
-    #: never changes the solution, so (like ``parallelism``) it is excluded
-    #: from the plan-cache fingerprint.  Off by default; the disabled hot
-    #: path pays no per-cell cost.
+    #: never changes the solution, so it is excluded from the plan-cache
+    #: fingerprint.  Off by default; the disabled hot path pays no per-cell
+    #: cost.
     trace: bool = False
     #: Run the solve under ``cProfile`` (:mod:`repro.obs.profile`) and
     #: attach the top functions plus ``flamegraph.pl``-compatible
     #: collapsed stacks to the response (``CompileResponse.profile``;
     #: ``POST /profile`` returns the collapsed text directly).  Diagnostic
-    #: only -- like ``trace``/``parallelism`` it never changes the
-    #: solution and is excluded from the plan-cache fingerprint.
+    #: only -- like ``trace`` it never changes the solution and is excluded
+    #: from the plan-cache fingerprint.
     profile: bool = False
 
     def __post_init__(self) -> None:
@@ -191,9 +182,6 @@ class CompileOptions:
                 )
         if self.catalog is not None and not hasattr(self.catalog, "match"):
             raise TypeError(f"catalog {self.catalog!r} has no match() method")
-        from .core.parallel import parse_parallelism  # deferred: import cycle
-
-        parse_parallelism(self.parallelism)  # raises on bad policies
 
     # -------------------------------------------------------------- deriving
     def replace(self, **changes) -> "CompileOptions":
@@ -247,8 +235,6 @@ class CompileOptions:
             payload["deadline_s"] = self.deadline_s
         if self.cost_cache_size is not None:
             payload["cost_cache_size"] = self.cost_cache_size
-        if self.parallelism != "serial":
-            payload["parallelism"] = self.parallelism
         if self.trace:
             payload["trace"] = True
         if self.profile:
@@ -282,7 +268,6 @@ class CompileOptions:
             plan_cache=wire_bool("plan_cache"),
             deadline_s=None if deadline is None else float(deadline),
             cost_cache_size=None if cache_size is None else int(cache_size),
-            parallelism=payload.get("parallelism", "serial"),
             trace=wire_bool("trace", default=False),
             profile=wire_bool("profile", default=False),
         )

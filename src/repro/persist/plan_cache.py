@@ -95,11 +95,7 @@ def plan_fingerprint(options: CompileOptions) -> Tuple[str, str, bool, bool]:
     may tie-break differently), the metric *name*, pruning and the
     match-cache policy.  ``deadline_s`` is deliberately absent: a *complete*
     solution is the optimum regardless of the budget it was found under, and
-    incomplete solutions are never stored.  ``parallelism`` is likewise
-    absent: the parallel tier is asserted bit-identical to the serial
-    reference (see :mod:`repro.core.parallel`), so a plan solved under any
-    backend serves every other -- a serial solve warms the cache for
-    ``threads:N`` sessions and vice versa.
+    incomplete solutions are never stored.
     """
     return (
         options.solver,

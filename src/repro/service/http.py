@@ -42,7 +42,7 @@ Endpoints (all JSON):
     configured ``--snapshot-dir`` (:mod:`repro.persist.snapshot`); 200 with
     the write metadata, 409 when no snapshot directory is configured.
 ``GET /stats``
-    pooled cache telemetry (see :mod:`repro.service.telemetry`): per-layer
+    pooled cache telemetry (see :mod:`repro.telemetry`): per-layer
     hit rates, occupancy and eviction counts, per worker and fleet-wide.
 ``GET /metrics``
     Prometheus text exposition (scrape with any Prometheus-compatible

@@ -18,7 +18,7 @@ from repro.algebra.operators import Times
 from repro.cost.metrics import FlopCount
 from repro.core import GMCAlgorithm
 from repro.kernels.catalog import KernelCatalog, build_default_kernels
-from repro.service import telemetry
+from repro import telemetry
 
 REQUIRED_KEYS = {"layer", "size", "max_entries", "hits", "misses", "hit_rate", "evictions"}
 
@@ -63,6 +63,13 @@ class TestUniformProtocol:
                 # counter summing (see repro.obs.analytics); covered in
                 # tests/test_analytics.py.
                 assert pooled[layer]["requests"] == 2 * snap[layer]["requests"]
+                continue
+            if layer == "solver":
+                # Raw DP work counters, not a cache: no hits/misses.
+                assert pooled[layer]["solves"] == 2 * snap[layer]["solves"] > 0
+                assert pooled[layer]["cells_evaluated"] == (
+                    2 * snap[layer]["cells_evaluated"]
+                )
                 continue
             assert pooled[layer]["hits"] == 2 * snap[layer]["hits"]
             assert pooled[layer]["misses"] == 2 * snap[layer]["misses"]

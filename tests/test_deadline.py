@@ -10,6 +10,7 @@ behavior) or raising.  The marker travels through the service wire as
 import pytest
 
 from repro.core import GMCAlgorithm
+from repro.core.gmc import DeadlineChecker
 from repro.core.topdown import TopDownGMC
 from repro.experiments.workload import ChainGenerator
 from repro.options import CompileOptions
@@ -80,6 +81,18 @@ class TestDeadlineEnforcement:
     def test_no_deadline_is_always_complete(self, solver_cls):
         solution = solver_cls(CompileOptions()).solve(long_chain(seed=9, length=6))
         assert solution.complete is True
+
+
+class TestDeadlineChecker:
+    def test_none_never_expires(self):
+        checker = DeadlineChecker(None)
+        assert checker.deadline is None
+        assert not checker.expired()
+
+    def test_expiry_is_sticky(self):
+        checker = DeadlineChecker(0.0)
+        assert checker.expired()
+        assert checker.expired()
 
 
 class TestDeadlineOnTheWire:

@@ -365,6 +365,37 @@ class TestRunExecuteRequest:
         assert "diverges from the reference" in response.error
         assert execution_telemetry().stats()["validation_failures"] == before + 1
 
+    def test_validation_failure_below_rtol_reports_the_entrywise_check(self):
+        """A small entry can fail the entrywise check while the
+        scale-relative error stays below rtol; the message must name the
+        check that failed, not claim ``error > rtol``."""
+        rtol = 1e-6
+
+        class _NudgingModule:
+            implementation = "numpy"
+
+            def run(self, environment):
+                a, b, c = (environment[name] for name in "ABC")
+                exact = np.linalg.solve(a, b) @ c.T
+                scale = max(1.0, float(np.max(np.abs(exact))))
+                smallest = np.unravel_index(np.argmin(np.abs(exact)), exact.shape)
+                assert abs(exact[smallest]) < 0.25 * scale
+                nudged = exact.copy()
+                nudged[smallest] += 0.5 * rtol * scale
+                return nudged
+
+        class _NudgingLoader:
+            def lookup(self, key):
+                return _NudgingModule()
+
+        response = run_execute_request(
+            _request(seed=2, rtol=rtol), loader=_NudgingLoader()
+        )
+        assert not response.ok and response.phase == "validate"
+        assert response.max_rel_error < rtol
+        assert "> 1 times atol*scale + rtol*|reference|" in response.error
+        assert "> rtol" not in response.error
+
     def test_validation_can_be_disabled(self):
         response = run_execute_request(_request(validate_numerics=False))
         assert response.ok and response.validated is None

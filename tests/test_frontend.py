@@ -129,6 +129,27 @@ class TestCommandLine:
         assert completed.returncode == 0
         assert "total cost" in completed.stdout
 
+    @pytest.mark.parametrize(
+        "source, kind, detail",
+        [
+            ("Matrix A (8, 8) <>\nMatrix B (8, 8) <>\nX = A * B\n",
+             "ParseError", "unexpected character '='"),
+            ("Matrix A (8, 8) <>\nMatrix B (9, 8) <>\nX := A * B\n",
+             "ShapeError", "inner dimensions differ"),
+            ("Matrix A (8, 8) <>\nMatrix B (8, 8) <>\nX := A + B\n",
+             "UncomputableSegmentError", "no addition kernels"),
+        ],
+        ids=["parse", "shape", "uncomputable"],
+    )
+    def test_bad_input_is_one_error_line(self, source, kind, detail):
+        completed = self._run(stdin=source)
+        assert completed.returncode == 1
+        assert completed.stdout == ""
+        assert "Traceback" not in completed.stderr
+        (line,) = completed.stderr.splitlines()
+        assert line.startswith(f"error: {kind}: ")
+        assert detail in line
+
 
 class TestCommandLineSolverFlags:
     """CLI parity with the HTTP service: --solver/--no-prune/--no-match-cache

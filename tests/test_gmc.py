@@ -1,6 +1,8 @@
 """Tests for the Generalized Matrix Chain algorithm (paper Section 3)."""
 
+import functools
 import math
+import random
 
 import pytest
 
@@ -21,8 +23,15 @@ from repro.core import (
     generate_program,
     solve_chain,
 )
-from repro.cost import FlopCount, KernelCountMetric, PerformanceMetric
+from repro.core.topdown import TopDownGMC
+from repro.cost import (
+    FlopCount,
+    KernelCountMetric,
+    PerformanceMetric,
+    WeightedSumMetric,
+)
 from repro.kernels import default_catalog, mcp_catalog
+from repro.options import CompileOptions
 
 
 class TestEquivalenceWithClassicDP:
@@ -393,3 +402,127 @@ class TestSplitPruning:
         )
         assert pruned.parenthesization() == exhaustive.parenthesization()
         assert pruned.kernel_sequence() == exhaustive.kernel_sequence()
+
+
+def palette_chain(seed, length, palette=(40, 60, 80, 100)):
+    """A random conformable chain over a small dimension palette, with
+    occasional square properties and transposes (repeated signatures, as in
+    the paper's application chains)."""
+    rng = random.Random(seed)
+    dims = [rng.choice(palette) for _ in range(length + 1)]
+    square_properties = (
+        Property.LOWER_TRIANGULAR,
+        Property.DIAGONAL,
+        Property.SYMMETRIC,
+    )
+    factors = []
+    for index in range(length):
+        properties = set()
+        if dims[index] == dims[index + 1] and rng.random() < 0.3:
+            properties = {rng.choice(square_properties)}
+        factor = Matrix(f"M{index}", dims[index], dims[index + 1], properties)
+        if factor.rows == factor.columns and rng.random() < 0.2:
+            factor = factor.T
+        factors.append(factor)
+    return factors
+
+
+def solution_fingerprint(solution):
+    """Cost, kernel sequence and parenthesization as one comparable value."""
+    if not solution.computable:
+        return (solution.optimal_cost, None, None)
+    return (
+        solution.optimal_cost,
+        solution.kernel_sequence(),
+        solution.parenthesization(),
+    )
+
+
+def identity_metric(kind):
+    if kind == "flops":
+        return "flops"
+    return WeightedSumMetric([(FlopCount(), 1.0), (KernelCountMetric(), 10.0)])
+
+
+@functools.lru_cache(maxsize=None)
+def reference_fingerprint(length, metric_kind):
+    """The plain Fig. 4 DP: bottom-up, no pruning, no match cache."""
+    options = CompileOptions(
+        metric=identity_metric(metric_kind),
+        prune=False,
+        match_cache=False,
+        plan_cache=False,
+    )
+    chain = palette_chain(seed=length, length=length)
+    return solution_fingerprint(GMCAlgorithm(options).solve(chain))
+
+
+class TestConfigurationIdentity:
+    """Every solver configuration returns the plain DP's solution: same
+    cost, kernel sequence and parenthesization, across solvers x pruning x
+    match cache x metrics x lengths."""
+
+    CONFIGURATIONS = [
+        (solver, prune, match_cache)
+        for solver in ("gmc", "topdown")
+        for prune in (True, False)
+        for match_cache in (True, False)
+        if (solver, prune, match_cache) != ("gmc", False, False)
+    ]
+
+    @pytest.mark.parametrize("solver, prune, match_cache", CONFIGURATIONS)
+    @pytest.mark.parametrize("metric_kind", ["flops", "weighted"])
+    @pytest.mark.parametrize("length", [3, 8, 12, 24])
+    def test_matches_plain_dp(
+        self, solver, prune, match_cache, metric_kind, length
+    ):
+        options = CompileOptions(
+            solver=solver,
+            metric=identity_metric(metric_kind),
+            prune=prune,
+            match_cache=match_cache,
+            plan_cache=False,
+        )
+        solver_class = GMCAlgorithm if solver == "gmc" else TopDownGMC
+        chain = palette_chain(seed=length, length=length)
+        solution = solver_class(options).solve(chain)
+        assert solution.computable and solution.complete
+        assert solution_fingerprint(solution) == reference_fingerprint(
+            length, metric_kind
+        )
+
+
+class TestWorkCounters:
+    """Per-solve work counters and the ``solver`` telemetry layer."""
+
+    SIZES = [30, 35, 15, 5, 10, 20, 25, 40, 12, 8, 50, 7, 22]
+
+    def chain(self, length):
+        sizes = self.SIZES[: length + 1]
+        return Times(*[Matrix(f"M{i}", sizes[i], sizes[i + 1]) for i in range(length)])
+
+    def test_counts_cells_and_diagonals(self):
+        n = 9
+        solution = GMCAlgorithm().solve(self.chain(n))
+        assert solution.diagonals == n - 1
+        assert solution.cells_evaluated == n * (n - 1) // 2
+
+    def test_pruning_is_observable(self):
+        pruned = GMCAlgorithm(CompileOptions(prune=True)).solve(self.chain(12))
+        unpruned = GMCAlgorithm(CompileOptions(prune=False)).solve(self.chain(12))
+        assert pruned.cells_pruned > 0
+        assert unpruned.cells_pruned == 0
+        assert pruned.cells_evaluated == unpruned.cells_evaluated
+
+    def test_solver_layer_in_telemetry_snapshot(self):
+        from repro import telemetry
+
+        before = telemetry.snapshot()["solver"]
+        solution = GMCAlgorithm().solve(self.chain(6))
+        after = telemetry.snapshot()["solver"]
+        assert after["layer"] == "solver"
+        assert after["solves"] == before["solves"] + 1
+        assert after["cells_evaluated"] == (
+            before["cells_evaluated"] + solution.cells_evaluated
+        )
+        assert after["diagonals"] == before["diagonals"] + solution.diagonals

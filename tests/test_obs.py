@@ -289,13 +289,6 @@ class TestTracedCompile:
         assert "Y :=" in report and "Z :=" in report
         assert explain_result is not None  # the public alias backs .explain()
 
-    def test_parallel_trace_records_diagonals(self):
-        result = compile_source(
-            DAG_SOURCE, options=CompileOptions(trace=True, parallelism="threads:2")
-        )
-        diagonals = result.trace.find("diagonal")
-        assert diagonals and all(span.end is not None for span in diagonals)
-
     def test_trace_flag_stays_out_of_plan_fingerprint(self):
         from repro.persist.plan_cache import plan_fingerprint
 

@@ -2,7 +2,7 @@
 
 Covers the identity matrix required by the DAG front end (auto-decomposed
 compiles must be kernel-for-kernel identical to hand-decomposed per-chain
-solves across solver x prune x parallelism), CSE reuse and invalidation,
+solves across solver x prune x match cache), CSE reuse and invalidation,
 stitched-program execution, error reporting, sibling plan-cache
 amortization and the segment telemetry counters.
 """
@@ -127,12 +127,12 @@ class TestAutoVsHandIdentity:
 
     @pytest.mark.parametrize("solver", ["gmc", "topdown"])
     @pytest.mark.parametrize("prune", [True, False])
-    @pytest.mark.parametrize("parallelism", ["serial", "threads:2"])
+    @pytest.mark.parametrize("match_cache", [True, False])
     def test_dag_compile_matches_hand_decomposition(
-        self, solver, prune, parallelism
+        self, solver, prune, match_cache
     ):
         options = CompileOptions(
-            solver=solver, prune=prune, parallelism=parallelism
+            solver=solver, prune=prune, match_cache=match_cache
         )
         session = Compiler(options)
         result = session.compile(DAG_SOURCE)
@@ -152,7 +152,7 @@ class TestAutoVsHandIdentity:
         for compiled in result.assignments:
             key = "_synthetic" if compiled.synthetic else compiled.target
             assert compiled.kernel_sequence == hand[key], (
-                solver, prune, parallelism, compiled.target)
+                solver, prune, match_cache, compiled.target)
 
     def test_plan_cached_recompile_is_identical(self):
         session = Compiler()

@@ -199,9 +199,9 @@ class TestInProcessExecutor:
             for source in set(sources)
         }
         with create_executor(in_process=True) as executor:
-            with ThreadPoolExecutor(max_workers=6) as threads:
+            with ThreadPoolExecutor(max_workers=6) as clients:
                 responses = list(
-                    threads.map(
+                    clients.map(
                         lambda source: executor.submit(CompileRequest(source=source)),
                         sources * 3,
                     )
