@@ -40,7 +40,8 @@ Deviations from the pseudocode, all discussed in the paper:
   the already-known sub-chain costs) cannot beat the cell's best-so-far are
   pruned before kernel matching -- a Hu/Shing-flavoured dominance reduction
   generalized to property-dependent kernel costs (disable with
-  ``GMCAlgorithm(prune=False)`` to force the exhaustive reference loop).
+  ``GMCAlgorithm(CompileOptions(prune=False))`` to force the exhaustive
+  reference loop).
 """
 
 from __future__ import annotations
@@ -59,10 +60,7 @@ from ..cost.metrics import CostMetric
 from ..kernels.catalog import KernelCatalog
 from ..kernels.kernel import Kernel, KernelCall, Program
 from ..matching.patterns import Substitution
-from ..options import CompileOptions, warn_legacy
-
-#: Sentinel distinguishing "argument not passed" from explicit ``None``.
-_UNSET = object()
+from ..options import CompileOptions
 
 
 class DeadlineChecker:
@@ -177,44 +175,8 @@ def solver_work_telemetry() -> SolverWorkTelemetry:
     return _WORK_TELEMETRY
 
 
-def coerce_solver_options(
-    cls_name: str,
-    options,
-    metric,
-    prune,
-    catalog,
-) -> CompileOptions:
-    """Shared constructor shim of the solver classes.
-
-    The canonical call-shape is ``Solver(CompileOptions(...))`` (or the bare
-    ``Solver()``); the pre-options loose keywords ``catalog=/metric=/prune=``
-    (and a positional catalog) still work through this shim but raise one
-    :class:`DeprecationWarning` per construction.
-    """
-    if isinstance(options, KernelCatalog):  # legacy positional catalog
-        catalog, options = options, None
-    legacy = {
-        name: value
-        for name, value in (("catalog", catalog), ("metric", metric), ("prune", prune))
-        if value is not _UNSET
-    }
-    if options is not None and legacy:
-        raise TypeError(
-            f"{cls_name}() takes either a CompileOptions object or the legacy "
-            f"catalog=/metric=/prune= keywords, not both"
-        )
-    if legacy:
-        warn_legacy(
-            f"{cls_name}(catalog=..., metric=..., prune=...)",
-            f"{cls_name}(CompileOptions(...))",
-            stacklevel=4,
-        )
-        metric_value = legacy.get("metric")
-        return CompileOptions(
-            metric="flops" if metric_value is None else metric_value,
-            catalog=legacy.get("catalog"),
-            prune=True if legacy.get("prune") is None else legacy.get("prune", True),
-        )
+def coerce_solver_options(options: Optional[CompileOptions]) -> CompileOptions:
+    """The options of a solver constructor (``None`` selects the defaults)."""
     if options is None:
         return CompileOptions()
     if not isinstance(options, CompileOptions):
@@ -430,10 +392,8 @@ class GMCAlgorithm:
     """The Generalized Matrix Chain algorithm (paper Fig. 4).
 
     The constructor takes one :class:`~repro.options.CompileOptions` value
-    naming the catalog, metric, pruning and match-cache policy (and the
-    deadline-budget placeholder); ``GMCAlgorithm()`` uses the defaults.  The
-    pre-options loose keywords ``catalog=/metric=/prune=`` still work but
-    are deprecated.
+    naming the catalog, metric, pruning and match-cache policy and the
+    deadline budget; ``GMCAlgorithm()`` uses the defaults.
 
     ``options.prune`` skips splits whose lower-bounded accumulated cost
     (:meth:`CostMetric.lower_bound`) already meets or exceeds the cell's
@@ -454,17 +414,8 @@ class GMCAlgorithm:
     ['POSV']
     """
 
-    def __init__(
-        self,
-        options: Optional[CompileOptions] = None,
-        metric=_UNSET,
-        prune=_UNSET,
-        *,
-        catalog=_UNSET,
-    ) -> None:
-        self.options = coerce_solver_options(
-            type(self).__name__, options, metric, prune, catalog
-        )
+    def __init__(self, options: Optional[CompileOptions] = None) -> None:
+        self.options = coerce_solver_options(options)
         self.catalog: KernelCatalog = self.options.resolve_catalog()
         self.metric: CostMetric = self.options.resolve_metric()
         self.prune: bool = self.options.prune

@@ -31,7 +31,6 @@ from ..kernels.kernel import Kernel, KernelCall, Program
 from ..matching.patterns import Substitution
 from ..options import CompileOptions
 from .gmc import (
-    _UNSET,
     ChainLike,
     DeadlineChecker,
     UncomputableChainError,
@@ -164,21 +163,11 @@ class TopDownGMC:
     Produces the same optimal solutions as :class:`GMCAlgorithm`; see the
     module docstring for when the traversal order matters.  Configured by
     one :class:`~repro.options.CompileOptions` value exactly like
-    :class:`GMCAlgorithm` (the loose ``catalog=/metric=/prune=`` keywords
-    remain as a deprecated shim).
+    :class:`GMCAlgorithm`.
     """
 
-    def __init__(
-        self,
-        options: Optional[CompileOptions] = None,
-        metric=_UNSET,
-        prune=_UNSET,
-        *,
-        catalog=_UNSET,
-    ) -> None:
-        self.options = coerce_solver_options(
-            type(self).__name__, options, metric, prune, catalog
-        )
+    def __init__(self, options: Optional[CompileOptions] = None) -> None:
+        self.options = coerce_solver_options(options)
         self.catalog: KernelCatalog = self.options.resolve_catalog()
         self.metric: CostMetric = self.options.resolve_metric()
         self.prune: bool = self.options.prune

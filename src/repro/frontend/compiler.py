@@ -18,8 +18,7 @@ command line (``python -m repro.frontend``), the HTTP service
 identical kernel sequences across all entry points.
 
 :func:`compile_source` / :func:`compile_program` remain as conveniences
-that run one compilation on a throwaway session; their pre-options
-``metric=``/``catalog=`` keywords are deprecated in favour of ``options=``.
+that run one compilation on a throwaway session.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from ..cost.metrics import CostMetric, resolve_metric
 from ..kernels.catalog import KernelCatalog
 from ..kernels.kernel import KernelCall, Program
 from ..obs.trace import Tracer
-from ..options import CompileOptions, warn_legacy
+from ..options import CompileOptions
 from ..persist.plan_cache import PlanCache
 from ..telemetry import reset as _telemetry_reset
 from ..telemetry import snapshot as _telemetry_snapshot
@@ -291,7 +290,7 @@ class CompilationResult:
 CompileInput = Union[str, ParsedProgram, Expression]
 
 #: Bound on the live metric instances one session keeps (metric names are
-#: few; the custom-cost_cache_size variants are the client-controlled part).
+#: few; case variants of them are the client-controlled part).
 _MAX_METRIC_INSTANCES = 16
 
 
@@ -362,34 +361,24 @@ class Compiler:
     def metric_for(self, options: Optional[CompileOptions] = None) -> CostMetric:
         """The session's live metric instance for *options* (default: own).
 
-        Instances are cached per ``(name, cost_cache_size)``: a request with
-        a custom cache size warms its own instance instead of resizing (and
-        thereby cold-starting) the LRU every default request shares.  Live
-        metric instances in the options are caller-owned and returned as-is.
+        Instances are cached per metric name, so every request naming a
+        metric shares one warm kernel-cost LRU.  Live metric instances in
+        the options are caller-owned and returned as-is.
         """
         options = options if options is not None else self.options
         if isinstance(options.metric, CostMetric):
             return options.metric
-        # Default-sized metrics are keyed by plain name (also the key scheme
-        # of the pre-session ``metrics=`` dicts execute_request still
-        # accepts); custom-sized ones get their own (name, size) slot.
-        key = (
-            options.metric
-            if options.cost_cache_size is None
-            else (options.metric, options.cost_cache_size)
-        )
-        metric = self._metrics.get(key)
+        metric = self._metrics.get(options.metric)
         if metric is None:
             if len(self._metrics) >= _MAX_METRIC_INSTANCES:
-                # cost_cache_size is client-controlled on the service wire;
-                # without a bound, cycling sizes would grow a worker's
-                # metric cache forever.  Evict a custom-sized instance
-                # first so the plain-name defaults stay warm.
-                sized = [k for k in self._metrics if isinstance(k, tuple)]
-                del self._metrics[sized[0] if sized else next(iter(self._metrics))]
-            metric = self._metrics[key] = resolve_metric(options.metric)
-            if options.cost_cache_size is not None:
-                metric.cost_cache_size = options.cost_cache_size
+                # Metric names are client-controlled on the service wire and
+                # case variants resolve to fresh instances; without a bound
+                # a client could grow a worker's metric cache forever.
+                # Evict the oldest instance but keep the session default warm.
+                del self._metrics[
+                    next(key for key in self._metrics if key != self.options.metric)
+                ]
+            metric = self._metrics[options.metric] = resolve_metric(options.metric)
         return metric
 
     def solver(self, options: Optional[CompileOptions] = None, **overrides):
@@ -593,43 +582,15 @@ class Compiler:
 # Convenience functions (one-shot sessions).
 # ---------------------------------------------------------------------------
 
-def _convenience_options(
-    metric, catalog, options: Optional[CompileOptions], caller: str
-) -> Optional[CompileOptions]:
-    """Shared shim of :func:`compile_source`/:func:`compile_program`: map the
-    deprecated ``metric=``/``catalog=`` keywords onto an options value."""
-    if metric is None and catalog is None:
-        return options
-    if options is not None:
-        raise TypeError(f"{caller}() takes either options or metric=/catalog=, not both")
-    warn_legacy(
-        f"{caller}(metric=..., catalog=...)",
-        f"{caller}(..., options=CompileOptions(...))",
-        stacklevel=4,
-    )
-    return CompileOptions(
-        metric="flops" if metric is None else metric, catalog=catalog
-    )
-
-
 def compile_program(
-    program: ParsedProgram,
-    metric: Union[CostMetric, str, None] = None,
-    catalog: Optional[KernelCatalog] = None,
-    *,
-    options: Optional[CompileOptions] = None,
+    program: ParsedProgram, *, options: Optional[CompileOptions] = None
 ) -> CompilationResult:
     """Compile an already-parsed DSL program on a one-shot session."""
-    options = _convenience_options(metric, catalog, options, "compile_program")
     return Compiler(options).compile(program)
 
 
 def compile_source(
-    source: str,
-    metric: Union[CostMetric, str, None] = None,
-    catalog: Optional[KernelCatalog] = None,
-    *,
-    options: Optional[CompileOptions] = None,
+    source: str, *, options: Optional[CompileOptions] = None
 ) -> CompilationResult:
     """Compile a textual problem description (Figs. 1/2 grammar) end to end.
 
@@ -641,7 +602,6 @@ def compile_source(
     >>> result.assignment("X").kernel_sequence
     ['POSV']
     """
-    options = _convenience_options(metric, catalog, options, "compile_source")
     return Compiler(options).compile(source)
 
 

@@ -19,8 +19,7 @@ process-global toggles.  The options object names:
   :func:`repro.codegen.register_emitter`),
 * a per-request **deadline budget** (``deadline_s``; enforced at DP cell
   boundaries -- expiring returns the best-so-far solution marked
-  ``complete=False``), and
-* the kernel-cost **cache sizing** (``cost_cache_size``).
+  ``complete=False``).
 
 Options are validated eagerly at construction, are immutable (derive
 variants with :meth:`CompileOptions.replace`) and serialize losslessly to
@@ -30,22 +29,15 @@ the JSON wire format of the compilation service
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field, replace as _dataclass_replace
+from dataclasses import dataclass, replace as _dataclass_replace
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from .cost.metrics import CostMetric, resolve_metric
 
-__all__ = ["SOLVERS", "CompileOptions", "warn_legacy", "warn_legacy_wire"]
+__all__ = ["SOLVERS", "CompileOptions"]
 
 #: Solver names a :class:`CompileOptions` may select.
 SOLVERS = ("gmc", "topdown")
-
-#: Upper bound on :attr:`CompileOptions.cost_cache_size`.  The field is
-#: client-controlled on the service wire; an unbounded value would let a
-#: remote client effectively disable kernel-cost LRU eviction in a
-#: long-lived worker (10x the metric default is plenty for tuning).
-MAX_COST_CACHE_SIZE = 1_000_000
 
 #: Keys of the JSON wire form of :class:`CompileOptions`.
 _WIRE_KEYS = (
@@ -56,45 +48,9 @@ _WIRE_KEYS = (
     "match_cache",
     "plan_cache",
     "deadline_s",
-    "cost_cache_size",
     "trace",
     "profile",
 )
-
-
-def warn_legacy(old: str, new: str, stacklevel: int = 3) -> None:
-    """Emit the one :class:`DeprecationWarning` of a legacy call-shape shim.
-
-    *stacklevel* defaults to 3 so the warning is attributed to the caller of
-    the shim, never to the shim itself: ``scripts/ci_api_check.py`` runs the
-    test suite with deprecation warnings escalated to errors for ``repro.*``
-    modules, which keeps the library from calling its own deprecated paths
-    while external callers merely see a warning.
-    """
-    warnings.warn(
-        f"{old} is deprecated; use {new} instead",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-
-
-def warn_legacy_wire(old: str, new: str) -> None:
-    """Like :func:`warn_legacy`, for deprecated *wire payloads*.
-
-    A legacy JSON dict originates from the remote client, not from the code
-    that happens to deserialize it, so the warning is attributed to a
-    synthetic ``legacy_wire`` module rather than to the repro frame calling
-    ``from_dict`` -- the service's HTTP handler and pool workers routinely
-    deserialize client payloads and must not fail the internal-deprecation
-    CI gate on a client's behalf.
-    """
-    warnings.warn_explicit(
-        f"{old} is deprecated; use {new} instead",
-        DeprecationWarning,
-        filename="<legacy wire payload>",
-        lineno=0,
-        module="legacy_wire",
-    )
 
 
 @dataclass(frozen=True)
@@ -129,8 +85,6 @@ class CompileOptions:
     #: boundaries and return the best-so-far solution with
     #: ``complete=False`` once it expires.
     deadline_s: Optional[float] = None
-    #: Override for the per-metric kernel-cost LRU capacity.
-    cost_cache_size: Optional[int] = None
     #: Record a span tree for the compilation (:mod:`repro.obs.trace`):
     #: per-segment phases with cache-hit provenance and per-anti-diagonal DP
     #: spans, exposed as ``CompilationResult.trace``.  Diagnostic only -- it
@@ -171,15 +125,6 @@ class CompileOptions:
             deadline = float(self.deadline_s)
             if not deadline > 0:
                 raise ValueError(f"deadline_s must be positive, got {deadline!r}")
-        if self.cost_cache_size is not None:
-            if (
-                not isinstance(self.cost_cache_size, int)
-                or not 1 <= self.cost_cache_size <= MAX_COST_CACHE_SIZE
-            ):
-                raise ValueError(
-                    f"cost_cache_size must be an int in [1, {MAX_COST_CACHE_SIZE}], "
-                    f"got {self.cost_cache_size!r}"
-                )
         if self.catalog is not None and not hasattr(self.catalog, "match"):
             raise TypeError(f"catalog {self.catalog!r} has no match() method")
 
@@ -195,18 +140,9 @@ class CompileOptions:
         return self.metric if isinstance(self.metric, str) else self.metric.name
 
     def resolve_metric(self) -> CostMetric:
-        """A :class:`CostMetric` instance for :attr:`metric`.
-
-        Live instances are returned untouched -- they are caller-owned and
-        possibly shared across solvers, so :attr:`cost_cache_size` is only
-        applied to instances this call constructs from a metric *name*.
-        """
-        if isinstance(self.metric, CostMetric):
-            return self.metric
-        metric = resolve_metric(self.metric)
-        if self.cost_cache_size is not None:
-            metric.cost_cache_size = self.cost_cache_size
-        return metric
+        """A :class:`CostMetric` instance for :attr:`metric` (live instances
+        are returned untouched)."""
+        return resolve_metric(self.metric)
 
     def resolve_catalog(self):
         """The catalog to compile against (default catalog when unset)."""
@@ -233,8 +169,6 @@ class CompileOptions:
         }
         if self.deadline_s is not None:
             payload["deadline_s"] = self.deadline_s
-        if self.cost_cache_size is not None:
-            payload["cost_cache_size"] = self.cost_cache_size
         if self.trace:
             payload["trace"] = True
         if self.profile:
@@ -258,7 +192,6 @@ class CompileOptions:
             return value
 
         deadline = payload.get("deadline_s")
-        cache_size = payload.get("cost_cache_size")
         return cls(
             solver=payload.get("solver", "gmc"),
             metric=payload.get("metric", "flops"),
@@ -267,7 +200,6 @@ class CompileOptions:
             match_cache=wire_bool("match_cache"),
             plan_cache=wire_bool("plan_cache"),
             deadline_s=None if deadline is None else float(deadline),
-            cost_cache_size=None if cache_size is None else int(cache_size),
             trace=wire_bool("trace", default=False),
             profile=wire_bool("profile", default=False),
         )

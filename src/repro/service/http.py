@@ -5,12 +5,11 @@ Endpoints (all JSON):
 ``POST /compile``
     body: one :class:`repro.service.api.CompileRequest` dict -- the problem
     (``source`` or ``operands``+``assignments``) plus a nested ``options``
-    object (:meth:`repro.options.CompileOptions.to_wire`; the pre-PR 4 flat
-    ``metric``/``solver``/... fields are still accepted with a
-    ``DeprecationWarning``).  200 with a
+    object (:meth:`repro.options.CompileOptions.to_wire`).  200 with a
     :class:`~repro.service.api.CompileResponse` dict on success; 400 when
-    the request is malformed or the compilation fails (the body still
-    carries the full ``ok=False`` response with its ``error`` field).
+    the request is malformed (including any top-level field other than
+    these) or the compilation fails (the body still carries the full
+    ``ok=False`` response with its ``error`` field).
 ``POST /batch``
     body: ``{"requests": [<request>, ...]}``.  Always 200 when the batch is
     well-formed; per-request failures are flagged by ``ok`` inside
@@ -76,13 +75,16 @@ The server is a :class:`http.server.ThreadingHTTPServer`; concurrency comes
 from the worker pool behind it (HTTP threads block on queue round-trips,
 not on solves).  Start it from the command line via ``python -m
 repro.frontend --serve`` or programmatically via :func:`start_server` (tests
-use port 0 to get an ephemeral port).
+use port 0 to get an ephemeral port).  The command-line server shuts down
+cleanly -- workers joined, shutdown snapshot saved -- on SIGINT and SIGTERM
+alike.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import signal
 import threading
 import time
 import uuid
@@ -467,7 +469,12 @@ def start_server(
 def run_server(
     executor, host: str = "127.0.0.1", port: int = 8077
 ) -> int:
-    """Serve until interrupted (the blocking CLI path)."""
+    """Serve until SIGINT or SIGTERM (the blocking CLI path).
+
+    Both signals leave through the same ``finally``: the executor is
+    closed, so pool workers are joined (never orphaned) and the shutdown
+    snapshot is saved.  Must run on the main thread (signal handlers).
+    """
     server = ServiceHTTPServer((host, port), executor)
     bound_host, bound_port = server.server_address[:2]
     mode = "in-process" if executor.workers == 0 else f"{executor.workers} workers"
@@ -476,11 +483,18 @@ def run_server(
         f"({mode})",
         flush=True,
     )
+    previous = signal.signal(signal.SIGTERM, _interrupt)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
+        signal.signal(signal.SIGTERM, previous)
         server.server_close()
         executor.close()
     return 0
+
+
+def _interrupt(signum, frame) -> None:
+    """SIGTERM handler of :func:`run_server`: unwind like Ctrl-C."""
+    raise KeyboardInterrupt

@@ -56,6 +56,7 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import os
+import signal
 import threading
 import time
 from pathlib import Path
@@ -318,6 +319,9 @@ def _worker_main(worker_id: int, inbox, outbox, snapshot_file=None) -> None:
     every message except ``shutdown``/``crash`` is answered with
     ``(token, payload)`` on *outbox*.
     """
+    # A worker forked by the serving CLI inherits its SIGTERM handler;
+    # restore the default so ``terminate()`` still just ends the worker.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     compiler = Compiler()
     snapshot_load = None
     if snapshot_file is not None:

@@ -153,9 +153,8 @@ def snapshot(
     metric_stats: List[dict] = [metric.stats() for _, metric in metric_items]
     kernel_cost = _combine(metric_stats, "kernel_cost")
     # Keyed by the executor's cache key (stringified), not by the metric's
-    # display name: two live instances of one metric (e.g. the same name
-    # under different cost_cache_size settings) must not overwrite each
-    # other in the breakdown.
+    # display name: two live instances of one metric (e.g. case variants of
+    # one name) must not overwrite each other in the breakdown.
     kernel_cost["per_metric"] = {
         str(cache_key): {
             key: value for key, value in entry.items() if key != "metric"

@@ -9,6 +9,12 @@ from repro.algebra import Matrix, Property, Vector
 from repro.kernels import default_catalog
 
 
+def pytest_configure(config):
+    # A DeprecationWarning attributed to a repro.* module means library code
+    # calls a deprecated API: fail the test instead of merely warning.
+    config.addinivalue_line("filterwarnings", r"error::DeprecationWarning:repro\..*")
+
+
 @pytest.fixture
 def catalog():
     """The default kernel catalog (cached at module level by the library)."""

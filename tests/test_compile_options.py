@@ -45,7 +45,7 @@ class TestCompileOptions:
         assert options.metric == "flops"
         assert options.prune and options.match_cache
         assert options.emit == ()
-        assert options.deadline_s is None and options.cost_cache_size is None
+        assert options.deadline_s is None
 
     def test_is_frozen(self):
         with pytest.raises(AttributeError):
@@ -67,9 +67,6 @@ class TestCompileOptions:
             {"emit": ("fortran",)},
             {"deadline_s": 0.0},
             {"deadline_s": -1.0},
-            {"cost_cache_size": 0},
-            {"cost_cache_size": "big"},
-            {"cost_cache_size": 10**9},  # above MAX_COST_CACHE_SIZE
         ],
     )
     def test_validation_rejects_bad_fields(self, bad):
@@ -94,7 +91,6 @@ class TestCompileOptions:
             prune=False,
             match_cache=False,
             deadline_s=2.5,
-            cost_cache_size=1234,
         )
         clone = CompileOptions.from_wire(options.to_wire())
         assert clone == options
@@ -102,9 +98,16 @@ class TestCompileOptions:
     def test_wire_defaults_roundtrip(self):
         assert CompileOptions.from_wire(CompileOptions().to_wire()) == CompileOptions()
 
-    def test_wire_rejects_unknown_keys(self):
-        with pytest.raises(ValueError):
-            CompileOptions.from_wire({"solvr": "gmc"})
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"solvr": "gmc"},
+            {"cost_cache_size": 64},
+        ],
+    )
+    def test_wire_rejects_unknown_keys(self, payload):
+        with pytest.raises(ValueError, match="unknown option fields"):
+            CompileOptions.from_wire(payload)
 
     @pytest.mark.parametrize("key", ["prune", "match_cache"])
     @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
@@ -119,17 +122,6 @@ class TestCompileOptions:
         wire = CompileOptions(catalog=catalog).to_wire()
         assert "catalog" not in wire
         assert CompileOptions.from_wire(wire).catalog is None
-
-    def test_cost_cache_size_is_applied_to_the_metric(self):
-        options = CompileOptions(metric="flops", cost_cache_size=7)
-        assert options.resolve_metric().cost_cache_size == 7
-
-    def test_cost_cache_size_never_mutates_a_live_metric_instance(self):
-        metric = FlopCount()
-        original = metric.cost_cache_size
-        resolved = CompileOptions(metric=metric, cost_cache_size=7).resolve_metric()
-        assert resolved is metric and metric.cost_cache_size == original
-
 
 # ---------------------------------------------------------------------------
 # Emitter registry
@@ -200,18 +192,6 @@ class TestCompilerSession:
         second = compiler.metric_for()
         assert first is second  # the warm kernel-cost LRU lives here
 
-    def test_per_call_cost_cache_size_does_not_resize_the_shared_metric(self):
-        """A request with custom cache sizing warms its own metric instance
-        instead of permanently shrinking the session's shared LRU."""
-        compiler = Compiler()
-        shared = compiler.metric_for()
-        sized = compiler.metric_for(CompileOptions(cost_cache_size=2))
-        assert sized is not shared
-        assert sized.cost_cache_size == 2
-        assert shared.cost_cache_size == type(shared).cost_cache_size
-        # ... and the default path still gets the same warm instance.
-        assert compiler.metric_for() is shared
-
     def test_per_call_overrides_do_not_mutate_the_session(self):
         compiler = Compiler()
         timed = compiler.solve(
@@ -246,57 +226,30 @@ class TestCompilerSession:
             "X"
         ).kernel_sequence == ["TRMM", "POSV"]
 
-    def test_legacy_name_keyed_metrics_dict_is_honoured(self):
-        """execute_request(metrics={'flops': m}) must actually reuse m."""
-        import warnings
-
-        metric = FlopCount()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            response = execute_request(
-                CompileRequest(source=SOURCE), metrics={"flops": metric}
-            )
-        assert response.ok
-        assert metric._cost_misses > 0 or metric._cost_hits > 0
-
-    def test_legacy_positional_catalog_still_compiles(self):
-        """The pre-session signature was execute_request(request, catalog);
-        a catalog in positional second place must not be mistaken for a
-        Compiler and fold into an ok=False response."""
-        import warnings
-
-        from repro.kernels import default_catalog
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            response = execute_request(
-                CompileRequest(source=SOURCE),
-                default_catalog(include_specialized=False),
-            )
-        assert response.ok, response.error
-        assert "POSV" not in response.assignment("X").kernels
-
     def test_metric_instance_cache_is_bounded(self):
-        """A client cycling cost_cache_size values must not grow a worker's
-        metric cache forever; plain-name defaults survive the eviction."""
+        """A client cycling case variants of a metric name must not grow a
+        worker's metric cache forever; the session default survives."""
         from repro.frontend.compiler import _MAX_METRIC_INSTANCES
 
         compiler = Compiler()
         default = compiler.metric_for()
-        for size in range(2, 2 + 3 * _MAX_METRIC_INSTANCES):
-            compiler.metric_for(CompileOptions(cost_cache_size=size))
+        for bits in range(3 * _MAX_METRIC_INSTANCES):
+            name = "".join(
+                char.upper() if bits >> index & 1 else char
+                for index, char in enumerate("kernels")
+            )
+            compiler.metric_for(CompileOptions(metric=name))
         assert len(compiler._metrics) <= _MAX_METRIC_INSTANCES
         assert compiler.metric_for() is default
 
-    def test_per_metric_breakdown_keeps_differently_sized_instances_apart(self):
-        """Two live instances of one metric name (different cost_cache_size)
+    def test_per_metric_breakdown_keeps_case_variant_instances_apart(self):
+        """Two live instances of one metric (case variants of its name)
         must not overwrite each other in the kernel_cost per-metric view."""
         compiler = Compiler()
         compiler.compile(SOURCE)  # warm the default 'flops' instance
-        compiler.compile(SOURCE, options=CompileOptions(cost_cache_size=64))
+        compiler.compile(SOURCE, options=CompileOptions(metric="FLOPS"))
         per_metric = compiler.cache_stats()["kernel_cost"]["per_metric"]
-        assert "flops" in per_metric
-        assert "('flops', 64)" in per_metric
+        assert set(per_metric) >= {"flops", "FLOPS"}
 
     def test_match_cache_off_bypasses_the_cache(self):
         catalog = KernelCatalog(build_default_kernels(), name="bypass-test")
@@ -465,3 +418,12 @@ def test_deadline_placeholder_is_threaded_to_solvers():
     assert Compiler(options).solver().deadline_s == 1.5
     assert GMCAlgorithm(options).deadline_s == 1.5
     assert TopDownGMC(options.replace(solver="topdown")).deadline_s == 1.5
+
+
+@pytest.mark.parametrize("solver_cls", [GMCAlgorithm, TopDownGMC])
+def test_solvers_take_only_compile_options(solver_cls):
+    """A bare catalog (or anything else) in the options slot fails loudly."""
+    from repro.kernels import default_catalog
+
+    with pytest.raises(TypeError, match="expected CompileOptions"):
+        solver_cls(default_catalog())

@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from repro.algebra import Inverse, Matrix, Property, Times, Transpose
 from repro.core import GMCAlgorithm, TopDownGMC, UncomputableChainError
 from repro.kernels import default_catalog
+from repro.options import CompileOptions
 from repro.runtime import allclose, execute_program, instantiate_expression
 
 from test_property_based import generalized_chains
@@ -40,7 +41,9 @@ class TestBasics:
         a = Matrix("A", 10, 10, {Property.NON_SINGULAR})
         b = Matrix("B", 10, 10, {Property.NON_SINGULAR})
         catalog = default_catalog(include_combined_inverse=False)
-        solution = TopDownGMC(catalog=catalog).solve(Times(Inverse(a), Inverse(b)))
+        solution = TopDownGMC(
+            CompileOptions(catalog=catalog)
+        ).solve(Times(Inverse(a), Inverse(b)))
         assert not solution.computable
         with pytest.raises(UncomputableChainError):
             list(solution.construct_solution())
@@ -50,13 +53,15 @@ class TestBasics:
         b = Matrix("B", 10, 10, {Property.NON_SINGULAR})
         c = Matrix("C", 10, 6)
         catalog = default_catalog(include_combined_inverse=False)
-        solution = TopDownGMC(catalog=catalog).solve(Times(Inverse(a), Inverse(b), c))
+        solution = TopDownGMC(
+            CompileOptions(catalog=catalog)
+        ).solve(Times(Inverse(a), Inverse(b), c))
         assert solution.computable
         assert solution.kernel_sequence() == ["GESV", "GESV"]
 
     def test_metric_selection(self):
         chain = _table2_chain()
-        timed = TopDownGMC(metric="time").solve(chain)
+        timed = TopDownGMC(CompileOptions(metric="time")).solve(chain)
         assert timed.computable
         assert timed.optimal_cost > 0.0
 

@@ -20,6 +20,7 @@ from repro.kernels.kernel import Kernel
 from repro.kernels.helpers import binary_pattern
 from repro.matching import MatchCache, Pattern, Wildcard, match_caching_disabled
 from repro.matching.patterns import Substitution
+from repro.options import CompileOptions
 
 
 def _fresh_catalog(**kwargs) -> KernelCatalog:
@@ -284,8 +285,8 @@ class TestEndToEndEquivalence:
     @pytest.mark.parametrize("seed", [11, 23, 57])
     def test_bottom_up_solutions_identical(self, seed):
         catalog = _fresh_catalog()
-        fast = GMCAlgorithm(catalog=catalog)
-        reference = GMCAlgorithm(catalog=catalog, prune=False)
+        fast = GMCAlgorithm(CompileOptions(catalog=catalog))
+        reference = GMCAlgorithm(CompileOptions(catalog=catalog, prune=False))
         for problem in _random_chains(8, seed=seed):
             got = fast.solve(problem.expression)
             # Solve twice so the second pass runs against a warm cache.
@@ -304,8 +305,8 @@ class TestEndToEndEquivalence:
 
     def test_top_down_solutions_identical(self):
         catalog = _fresh_catalog()
-        fast = TopDownGMC(catalog=catalog)
-        reference = TopDownGMC(catalog=catalog, prune=False)
+        fast = TopDownGMC(CompileOptions(catalog=catalog))
+        reference = TopDownGMC(CompileOptions(catalog=catalog, prune=False))
         for problem in _random_chains(8, seed=71):
             got = fast.solve(problem.expression)
             with match_caching_disabled():
@@ -319,7 +320,7 @@ class TestEndToEndEquivalence:
         catalog = _fresh_catalog(include_combined_inverse=False)
         a = Matrix("A", 8, 8, {Property.NON_SINGULAR})
         b = Matrix("B", 8, 8, {Property.NON_SINGULAR})
-        solution = GMCAlgorithm(catalog=catalog).solve(a.I * b.I)
+        solution = GMCAlgorithm(CompileOptions(catalog=catalog)).solve(a.I * b.I)
         assert not solution.computable
         assert math.isinf(solution.optimal_cost)
         # Dead cells materialize no temporary.
@@ -327,7 +328,7 @@ class TestEndToEndEquivalence:
 
     def test_repeated_solve_hits_the_cache(self):
         catalog = _fresh_catalog()
-        algorithm = GMCAlgorithm(catalog=catalog)
+        algorithm = GMCAlgorithm(CompileOptions(catalog=catalog))
         problem = _random_chains(1, seed=5, min_length=8, max_length=8)[0]
         algorithm.solve(problem.expression)
         catalog.match_cache.reset_stats()

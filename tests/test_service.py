@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -11,6 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.frontend import compile_source
+from repro.options import CompileOptions
 from repro.service import (
     CompileRequest,
     CompileResponse,
@@ -46,11 +48,13 @@ class TestApi:
     def test_request_roundtrips_through_dict(self):
         request = CompileRequest(
             source="Matrix A (4, 4) <>\nX := A * A\n",
-            metric="flops",
-            solver="topdown",
-            emit=("julia",),
-            prune=False,
-            use_match_cache=False,
+            options=CompileOptions(
+                metric="flops",
+                solver="topdown",
+                emit=("julia",),
+                prune=False,
+                match_cache=False,
+            ),
         )
         clone = CompileRequest.from_dict(json.loads(json.dumps(request.to_dict())))
         assert clone == request
@@ -79,6 +83,8 @@ class TestApi:
             {"source": "X := A\n", "solver": "nonsense"},
             {"source": "X := A\n", "emit": ["fortran"]},
             {"source": "X := A\n", "bogus_field": 1},
+            # Options travel only as a nested "options" object.
+            {"source": "Matrix A (4, 4) <>\nX := A * A\n", "metric": "flops"},
         ],
     )
     def test_malformed_requests_raise(self, payload):
@@ -150,7 +156,9 @@ class TestInProcessExecutor:
         source = similar_sources(1, prefix="Code")[0]
         with create_executor(in_process=True) as executor:
             response = executor.submit(
-                CompileRequest(source=source, emit=("julia", "numpy"))
+                CompileRequest(
+                    source=source, options=CompileOptions(emit=("julia", "numpy"))
+                )
             )
         direct = compile_source(source)
         assert normalized(response.assignment("X").code["julia"]) == normalized(
@@ -373,6 +381,16 @@ class TestHTTP:
             _post(f"{http_service}/compile", {"sauce": "typo"})
         assert excinfo.value.code == 400
 
+    def test_flat_option_key_is_400(self, http_service):
+        """Options travel only under ``options``; a flat key is an unknown field."""
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(
+                f"{http_service}/compile",
+                {"source": similar_sources(1, prefix="Flat")[0], "metric": "flops"},
+            )
+        assert excinfo.value.code == 400
+        assert "metric" in json.loads(excinfo.value.read())["error"]
+
     def test_compile_error_is_400_with_error_body(self, http_service):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _post(f"{http_service}/compile", {"source": "garbage ::= input"})
@@ -390,42 +408,69 @@ class TestHTTP:
 # CLI (--serve boots a working server)
 # ---------------------------------------------------------------------------
 
+def _boot_cli(*flags):
+    """Start ``python -m repro.frontend --serve --port 0 *flags``; return the
+    process and its base URL once ``/healthz`` answers 200."""
+    import re
+    import subprocess
+    import sys
+    import time
+
+    process = subprocess.Popen(
+        [sys.executable, "-u", "-m", "repro.frontend", "--serve", *flags,
+         "--port", "0"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+    )
+    try:
+        banner = process.stdout.readline()
+        match = re.search(r"http://127\.0\.0\.1:(\d+)", banner)
+        assert match, f"no address in banner: {banner!r}"
+        base = f"http://127.0.0.1:{match.group(1)}"
+        deadline = time.time() + 30
+        while True:
+            try:
+                status, body = _get(f"{base}/healthz")
+                break
+            except OSError:
+                assert time.time() < deadline, "server never became healthy"
+                time.sleep(0.2)
+        assert status == 200 and body["status"] == "ok"
+    except BaseException:
+        process.kill()
+        process.wait(timeout=10)
+        raise
+    return process, base
+
+
+def _proc_stat(pid):
+    """``(state, ppid)`` of a live process from ``/proc``, else ``None``."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as handle:
+            fields = handle.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+    return fields[0], int(fields[1])
+
+
+def _children(pid):
+    return [
+        int(entry)
+        for entry in os.listdir("/proc")
+        if entry.isdigit() and (_proc_stat(entry) or ("", -1))[1] == pid
+    ]
+
+
+def _alive(pid):
+    stat = _proc_stat(pid)
+    return stat is not None and stat[0] != "Z"
+
+
 class TestServeCLI:
     def test_serve_flag_boots_http_server(self):
-        import re
-        import subprocess
-        import sys
-        import time
-
-        process = subprocess.Popen(
-            [
-                sys.executable,
-                "-u",
-                "-m",
-                "repro.frontend",
-                "--serve",
-                "--in-process",
-                "--port",
-                "0",
-            ],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-        )
+        process, base = _boot_cli("--in-process")
         try:
-            banner = process.stdout.readline()
-            match = re.search(r"http://127\.0\.0\.1:(\d+)", banner)
-            assert match, f"no address in banner: {banner!r}"
-            base = f"http://127.0.0.1:{match.group(1)}"
-            deadline = time.time() + 30
-            while True:
-                try:
-                    status, body = _get(f"{base}/healthz")
-                    break
-                except OSError:
-                    assert time.time() < deadline, "server never became healthy"
-                    time.sleep(0.2)
-            assert status == 200 and body["status"] == "ok"
             status, body = _post(
                 f"{base}/compile", {"source": similar_sources(1, "Cli")[0]}
             )
@@ -433,3 +478,29 @@ class TestServeCLI:
         finally:
             process.terminate()
             process.wait(timeout=10)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+    def test_sigterm_shuts_the_pool_workers_down(self):
+        """SIGTERM takes the same clean-shutdown path as Ctrl-C: the server
+        exits 0 and no pool worker outlives it."""
+        import signal
+        import time
+
+        process, _ = _boot_cli("--workers", "2")
+        workers = []
+        try:
+            workers = _children(process.pid)
+            assert len(workers) >= 2, workers
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=30) == 0
+            deadline = time.time() + 10
+            while any(_alive(pid) for pid in workers) and time.time() < deadline:
+                time.sleep(0.1)
+            assert not [pid for pid in workers if _alive(pid)]
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait(timeout=10)
+            for pid in workers:  # never leak orphans from a failed run
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)
