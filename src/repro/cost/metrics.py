@@ -128,6 +128,12 @@ class CostMetric:
         self._cost_misses = 0
         self._cost_evictions = 0
 
+    def clear_cost_cache(self) -> None:
+        """Drop every memoized kernel cost (the counters are kept)."""
+        cache = getattr(self, "_cost_cache", None)
+        if cache is not None:
+            cache.clear()
+
     def combine(self, left: object, right: object) -> object:
         """Accumulate two costs (defaults to addition)."""
         return left + right  # type: ignore[operator]

@@ -33,6 +33,8 @@ from typing import Dict, List, Optional, Sequence, Union
 from ..algebra.dsl import Program as ParsedProgram
 from ..algebra.dsl import ParseError, parse_program
 from ..algebra.expression import Expression, Matrix, ShapeError
+from ..algebra.inference import clear_inference_cache
+from ..algebra.interning import clear_intern_table
 from ..codegen import available_emitters, get_emitter
 from ..core import make_solver
 from ..core.gmc import UncomputableChainError
@@ -300,8 +302,9 @@ class Compiler:
     The session owns the kernel catalog and one live
     :class:`~repro.cost.metrics.CostMetric` instance per metric name, so
     every compilation through it shares the interner, the inference memo,
-    the signature-keyed match cache and the kernel-cost LRU -- exactly the
-    state a warm service worker keeps between requests.
+    the signature-keyed match cache and the kernel-cost LRU.  A service
+    worker keeps only the name-abstracted plan and match caches between
+    requests (:meth:`clear_name_memos`).
 
     Per-call options may override the session options (same catalog, fresh
     pipeline flags), which is how the service serves requests with differing
@@ -576,6 +579,23 @@ class Compiler:
     def reset_cache_stats(self) -> None:
         """Zero every cache counter the session can see."""
         _telemetry_reset(self.catalog, self._metrics, plan_cache=self.plan_cache)
+
+    def clear_name_memos(self) -> None:
+        """Drop the memos keyed by concrete operand names.
+
+        Clears the process-wide expression interner and inference memo and
+        the kernel-cost memo of every session metric.  Their keys carry the
+        operands' names, so a later request under fresh names never hits
+        them; the name-abstracted plan and match caches, which do carry
+        warmth across such requests, are kept.  Clearing is always safe:
+        a dropped entry is simply recomputed on its next use.  The service
+        calls this after every request; :meth:`compile` never does, so
+        library callers keep the memos warm across compilations.
+        """
+        clear_intern_table()
+        clear_inference_cache()
+        for metric in self._metrics.values():
+            metric.clear_cost_cache()
 
 
 # ---------------------------------------------------------------------------

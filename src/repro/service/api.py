@@ -414,17 +414,18 @@ def affinity_key(request: CompileRequest) -> str:
     Structurally similar chains (same shapes, properties and equality
     structure, arbitrary operand names) share their name-abstracted
     expression signatures, so routing by this key lands them on the worker
-    whose signature-keyed match cache is already warm for them.  Requests
-    that fail to parse fall back to their raw text (they will fail
+    whose signature-keyed plan and match caches are already warm for them.
+    Those are the only layers routing can keep warm: the name-keyed memos
+    (interner, inference, kernel cost) are cleared after every request.
+    Requests that fail to parse fall back to their raw text (they will fail
     identically on any worker).
 
     This parses the request in the dispatching process (the worker parses
     again); that is deliberate -- parsing is orders of magnitude cheaper
     than solving, and no text-level normalization reproduces the
-    name-abstracted signature the match cache is keyed by.  The parse
-    touches the parent's interner/inference caches, both of which are
-    bounded (LRU / oldest-chunk eviction), so front-end memory stays
-    bounded too.
+    name-abstracted signature the caches are keyed by.  Parsing and the
+    signature walk build plain expression trees without interning or
+    inferring, so the front end's memos do not grow with traffic.
     """
     try:
         program = parse_program(request.to_source())

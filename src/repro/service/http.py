@@ -71,6 +71,9 @@ response body and the structured access-log lines (one JSON line per
 request through :mod:`repro.obs.logging`, silent unless the process
 opted in via ``configure_logging``).
 
+Connections are HTTP/1.1 keep-alive; each response (status line, headers
+and body) goes out in a single socket write, with Nagle's algorithm off.
+
 The server is a :class:`http.server.ThreadingHTTPServer`; concurrency comes
 from the worker pool behind it (HTTP threads block on queue round-trips,
 not on solves).  Start it from the command line via ``python -m
@@ -145,6 +148,8 @@ class ServiceHTTPServer(ThreadingHTTPServer):
 class _ServiceRequestHandler(BaseHTTPRequestHandler):
     server_version = "repro-compilation-service/1.0"
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY on every connection (stdlib StreamRequestHandler knob).
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------- plumbing
     def log_message(self, format: str, *args) -> None:  # noqa: A002
@@ -180,8 +185,14 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
             self.send_header("X-Request-Id", request_id)
         for name, value in (extra_headers or {}).items():
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        if self.request_version == "HTTP/0.9":  # body only, no head
+            self.wfile.write(body)
+            return
+        # Status line, headers and body leave in ONE write: a second small
+        # send on a keep-alive socket would wait out the client's delayed
+        # ACK under Nagle's algorithm (~40 ms per response).
+        self._headers_buffer.extend((b"\r\n", body))
+        self.flush_headers()
 
     def _read_json(self) -> object:
         length = int(self.headers.get("Content-Length", 0) or 0)

@@ -21,16 +21,21 @@ process -- no subprocesses, deterministic, used by tier-1 tests and as the
 ``--in-process`` fallback of the CLI.
 
 :class:`WorkerPool` owns N persistent worker *processes*.  Each worker
-builds the default kernel catalog once and keeps every cache layer warm
-across requests: the expression interner, the property-inference memo, the
-signature-keyed match cache, the whole-plan cache and one kernel-cost LRU
-per metric.  Requests are routed by **affinity**: structurally similar
-chains share their name-abstracted signature
+builds the default kernel catalog once and keeps the name-abstracted
+cache layers warm across requests: the signature-keyed match cache and the
+whole-plan cache.  The memos keyed by concrete operand names -- the
+expression interner, the property-inference memo and the kernel-cost LRU
+of each metric -- are per-request scratch: every request brings fresh
+operand names, so no later request would hit them, and both executors
+clear them after each request
+(:meth:`~repro.frontend.compiler.Compiler.clear_name_memos`) to keep a
+worker's memory flat.  Requests are routed by **affinity**: structurally
+similar chains share their name-abstracted signature
 (:func:`repro.service.api.affinity_key`) and land on the same worker, whose
-match cache is already warm for them.  A worker that dies (crash, OOM kill)
-is transparently restarted and its in-flight requests are resubmitted, up
-to ``max_retries`` per request; requests that keep killing workers come
-back as ``ok=False`` responses instead of hanging the caller.
+plan and match caches are already warm for them.  A worker that dies
+(crash, OOM kill) is transparently restarted and its in-flight requests are
+resubmitted, up to ``max_retries`` per request; requests that keep killing
+workers come back as ``ok=False`` responses instead of hanging the caller.
 
 **Warm boot**: when a ``snapshot_dir`` is configured, every worker loads
 the directory's cache snapshot (:mod:`repro.persist.snapshot`) at boot --
@@ -133,7 +138,8 @@ class InProcessExecutor:
     Thread-safe: concurrent ``submit`` calls (e.g. from the threading HTTP
     server) are serialized around the shared caches -- concurrent solving
     is the worker pool's job; this executor's job is determinism and zero
-    process overhead for tests and small deployments.
+    process overhead for tests and small deployments.  Like a pool worker,
+    it clears the name-keyed memos after every request, under the lock.
     """
 
     def __init__(
@@ -170,6 +176,7 @@ class InProcessExecutor:
         """Run one request on the shared session (serialized, counted)."""
         with self._lock:
             response = execute_request(request, compiler=self.compiler)
+            self.compiler.clear_name_memos()
             self.requests_served += 1
             if not response.ok:
                 self.errors += 1
@@ -213,6 +220,7 @@ class InProcessExecutor:
         try:
             with self._lock:
                 response = run_execute_request(request, compiler=self.compiler)
+                self.compiler.clear_name_memos()
                 self.requests_served += 1
                 if not response.ok:
                     self.errors += 1
@@ -308,16 +316,19 @@ class InProcessExecutor:
 # ---------------------------------------------------------------------------
 
 def _worker_main(worker_id: int, inbox, outbox, snapshot_file=None) -> None:
-    """Serve requests until shutdown; every cache stays warm in between.
+    """Serve requests until shutdown; the plan and match caches stay warm.
 
     Each worker holds one :class:`~repro.frontend.compiler.Compiler`
-    session: the session owns the catalog and the per-metric cost LRUs, and
-    with them every cache layer that makes repeated structurally similar
-    requests cheap.  With a *snapshot_file*, the worker boots warm by
-    loading the plan-cache/match-cache snapshot into the fresh session
-    (stale/corrupt snapshots boot cold, reported via ``stats``).  Messages are ``(kind, token, payload)`` tuples;
-    every message except ``shutdown``/``crash`` is answered with
-    ``(token, payload)`` on *outbox*.
+    session: the session owns the catalog (with its match cache) and the
+    plan cache, the layers that make repeated structurally similar
+    requests cheap.  The memos keyed by operand names (interner, inference
+    memo, kernel-cost LRUs) are cleared after each reply is sent, so they
+    never outlive the request that filled them.  With a *snapshot_file*,
+    the worker boots warm by loading the plan-cache/match-cache snapshot
+    into the fresh session (stale/corrupt snapshots boot cold, reported via
+    ``stats``).  Messages are ``(kind, token, payload)`` tuples; every
+    message except ``shutdown``/``crash`` is answered with ``(token,
+    payload)`` on *outbox*.
     """
     # A worker forked by the serving CLI inherits its SIGTERM handler;
     # restore the default so ``terminate()`` still just ends the worker.
@@ -350,10 +361,6 @@ def _worker_main(worker_id: int, inbox, outbox, snapshot_file=None) -> None:
                     error=f"{type(exc).__name__}: {exc}",
                     worker=worker_id,
                 )
-            served += 1
-            if not response.ok:
-                failed += 1
-            outbox.put((token, response.to_dict()))
         elif kind == "execute":
             # Imported here, not at module top: repro.exec.api imports
             # repro.service.api, whose package init imports this module.
@@ -372,10 +379,13 @@ def _worker_main(worker_id: int, inbox, outbox, snapshot_file=None) -> None:
                     phase="request",
                     worker=worker_id,
                 )
+        if kind in ("request", "execute"):
             served += 1
             if not response.ok:
                 failed += 1
             outbox.put((token, response.to_dict()))
+            # After the reply is on its way, so off its critical path.
+            compiler.clear_name_memos()
         elif kind == "stats":
             outbox.put(
                 (

@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import http.client
+import io
 import json
 import multiprocessing
 import os
+import statistics
+import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
+from urllib.parse import urlparse
 
 import pytest
 
+from repro.experiments.workload import jacobian_workload
 from repro.frontend import compile_source
 from repro.options import CompileOptions
 from repro.service import (
@@ -23,7 +29,7 @@ from repro.service import (
     create_executor,
     execute_request,
 )
-from repro.service.http import start_server
+from repro.service.http import _ServiceRequestHandler, start_server
 
 #: Template for structurally similar chains: same shapes/properties/structure,
 #: different operand names per tag (so identity/equality caches miss but the
@@ -285,6 +291,43 @@ class TestWorkerPool:
 
 
 # ---------------------------------------------------------------------------
+# Name-keyed memos are per-request scratch in both executors
+# ---------------------------------------------------------------------------
+
+#: Jacobian sibling models (fresh operand names per model, one structure);
+#: each executor gets its own slice so no name was seen before.
+JACOBIAN_MODELS = jacobian_workload(60, 6)
+#: Segment lookups of 30 models (6 blocks + the Gram segment each) miss
+#: the plan cache only for the two distinct segment signatures.
+JACOBIAN_PLAN_HIT_RATE = 1 - 2 / (30 * 7)
+
+
+@pytest.mark.parametrize(
+    "make_executor, models",
+    [
+        (InProcessExecutor, JACOBIAN_MODELS[:30]),
+        (lambda: WorkerPool(workers=1, request_timeout=120.0), JACOBIAN_MODELS[30:]),
+    ],
+    ids=["in-process", "pool"],
+)
+def test_name_keyed_memos_do_not_grow_across_requests(make_executor, models):
+    memos = ("interner", "inference", "kernel_cost")
+    with make_executor() as executor:
+        executor.reset_stats()
+        sizes = {}
+        for index, model in enumerate(models, start=1):
+            assert executor.submit(CompileRequest(source=model.source)).ok
+            if index in (5, 30):
+                caches = executor.stats()["caches"]
+                sizes[index] = {memo: caches[memo]["size"] for memo in memos}
+        plan_cache = executor.stats()["caches"]["plan_cache"]
+    for memo in memos:
+        assert sizes[30][memo] <= sizes[5][memo], (memo, sizes)
+    # Warmth across requests lives in the name-abstracted plan cache.
+    assert plan_cache["hit_rate"] == pytest.approx(JACOBIAN_PLAN_HIT_RATE)
+
+
+# ---------------------------------------------------------------------------
 # HTTP front-end
 # ---------------------------------------------------------------------------
 
@@ -402,6 +445,62 @@ class TestHTTP:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _get(f"{http_service}/nope")
         assert excinfo.value.code == 404
+
+    def test_keep_alive_requests_do_not_stall(self, http_service):
+        """Sequential requests on one persistent connection answer in
+        milliseconds: no response waits out the client's delayed ACK."""
+        url = urlparse(http_service)
+        connection = http.client.HTTPConnection(url.hostname, url.port, timeout=60)
+        round_trips = []
+        try:
+            for source in similar_sources(20, prefix="KeepAlive"):
+                started = time.perf_counter()
+                connection.request(
+                    "POST",
+                    "/compile",
+                    body=json.dumps({"source": source}),
+                    headers={"Content-Type": "application/json"},
+                )
+                response = connection.getresponse()
+                body = json.loads(response.read())
+                round_trips.append(time.perf_counter() - started)
+                assert response.status == 200 and body["ok"]
+        finally:
+            connection.close()
+        assert statistics.median(round_trips) < 0.015, round_trips
+
+    @pytest.mark.parametrize("size", [10, 200_000])
+    def test_response_is_one_socket_write(self, size):
+        handler = _bare_handler("HTTP/1.1")
+        handler._send_json(200, {"ok": True, "pad": "x" * size})
+        assert handler.wfile.writes == 1
+        head, _, body = handler.wfile.getvalue().partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 ")
+        assert f"Content-Length: {len(body)}".encode() in head
+        assert json.loads(body)["pad"] == "x" * size
+
+    def test_http09_response_is_the_bare_body(self):
+        handler = _bare_handler("HTTP/0.9")
+        handler._send_json(200, {"ok": True})
+        assert handler.wfile.writes == 1
+        assert json.loads(handler.wfile.getvalue()) == {"ok": True}
+
+
+class _CountingWriter(io.BytesIO):
+    writes = 0
+
+    def write(self, data):
+        self.writes += 1
+        return super().write(data)
+
+
+def _bare_handler(version):
+    """A request handler without a socket, writing into a _CountingWriter."""
+    handler = _ServiceRequestHandler.__new__(_ServiceRequestHandler)
+    handler.request_version = version
+    handler.requestline = f"GET /healthz {version}"
+    handler.wfile = _CountingWriter()
+    return handler
 
 
 # ---------------------------------------------------------------------------
