@@ -40,7 +40,11 @@ worker pool), then drives the acceptance workload against it:
    computation, proving cross-process key stability), ``GET /metrics``
    must carry a positive ``repro_compile_phase_latency_seconds`` p99
    quantile series and ``GET /timeseries`` must have recorded the
-   requests on its counter rings.
+   requests on its counter rings;
+9. **BLAS thread budget**: ``GET /stats`` must report, for every worker,
+   each mapped OpenBLAS running at most ``max(1, cpus // workers)``
+   threads (skipped when ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``
+   or ``MKL_NUM_THREADS`` is set: the workers then keep that setting).
 
 With ``--snapshot``, a second phase exercises **snapshot-backed warm
 boot**: the server is restarted against a shared ``--snapshot-dir`` after
@@ -59,6 +63,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import subprocess
 import sys
@@ -71,6 +76,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.frontend import compile_source  # noqa: E402
+from repro.runtime.blas_threads import THREAD_ENV_VARS  # noqa: E402
 from repro.telemetry import CACHE_LAYERS  # noqa: E402
 
 #: One moderately rich chain structure; tagged copies are structurally
@@ -375,6 +381,34 @@ def analytics_check(base: str) -> int:
     return 0
 
 
+def blas_check(stats: dict, workers: int) -> int:
+    """Every pool worker runs each OpenBLAS at its share of the CPUs."""
+    overrides = [name for name in THREAD_ENV_VARS if name in os.environ]
+    if overrides:
+        print(f"blas threads: not checked, {overrides} set by the user")
+        return 0
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    share = max(1, cpus // workers)
+    for entry in stats["per_worker"]:
+        counts = entry.get("blas_threads")
+        if not isinstance(counts, dict):
+            return fail(f"worker {entry.get('worker')} reports no blas_threads")
+        over = {name: count for name, count in counts.items() if count > share}
+        if over:
+            return fail(
+                f"worker {entry['worker']} runs {over} BLAS threads, more than "
+                f"its share {share} of {cpus} CPUs"
+            )
+    print(
+        f"blas threads: every worker <= {share} per library "
+        f"({[entry['blas_threads'] for entry in stats['per_worker']]})"
+    )
+    return 0
+
+
 def fail(message: str) -> int:
     print(f"SERVICE CHECK FAILED: {message}", file=sys.stderr)
     return 1
@@ -653,6 +687,10 @@ def main(argv=None) -> int:
             return fail(
                 f"warm pooled hit rate {hit_rate:.3f} < {args.min_hit_rate:.3f}"
             )
+
+        problem = blas_check(stats_warm, args.workers)
+        if problem:
+            return problem
 
         problem = dag_check(base)
         if problem:

@@ -105,7 +105,7 @@ class ModuleLoader:
     import both skipped); a miss is followed by ``load(source, key)``, which
     materializes the source under the loader's temp directory and imports
     it.  Evicted entries are dropped from ``sys.modules`` and their source
-    file removed.
+    and bytecode files removed.
     """
 
     def __init__(
@@ -192,10 +192,12 @@ class ModuleLoader:
         module_name = getattr(entry.module, "__name__", None)
         if module_name:
             sys.modules.pop(module_name, None)
-        try:
-            os.unlink(entry.path)
-        except OSError:
-            pass
+        # The import may also have written bytecode into __pycache__.
+        for path in (entry.path, importlib.util.cache_from_source(entry.path)):
+            try:
+                os.unlink(path)
+            except OSError:
+                pass
 
     def clear(self) -> None:
         """Drop every cached module (keeps the counters)."""

@@ -37,6 +37,16 @@ plan and match caches are already warm for them.  A worker that dies
 resubmitted, up to ``max_retries`` per request; requests that keep killing
 workers come back as ``ok=False`` responses instead of hanging the caller.
 
+**BLAS threads**: every worker sizes the OpenBLAS builds mapped into it
+(NumPy's and SciPy's each default to one busy-waiting thread per CPU) to
+its share of the CPUs, ``max(1, usable_cpus // workers)``
+(:func:`repro.runtime.blas_threads.thread_budget`), at boot and again when
+a crashed worker is restarted; ``stats()`` reports the counts read back
+per library as ``blas_threads``.  Without the budget, N workers would run
+up to ``2 * N * cpus`` BLAS threads on ``cpus`` cores.  When
+``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS`` is
+set, the workers leave the libraries as that setting configured them.
+
 **Warm boot**: when a ``snapshot_dir`` is configured, every worker loads
 the directory's cache snapshot (:mod:`repro.persist.snapshot`) at boot --
 so a restarted pool answers its first signature-equal request from the
@@ -71,6 +81,7 @@ from ..frontend.compiler import Compiler
 from ..obs.logging import get_logger
 from ..kernels.catalog import KernelCatalog
 from ..options import CompileOptions
+from ..runtime.blas_threads import blas_threads, set_blas_threads, thread_budget
 from ..persist.snapshot import (
     capture_state,
     load_snapshot,
@@ -315,7 +326,9 @@ class InProcessExecutor:
 # Worker process main loop.
 # ---------------------------------------------------------------------------
 
-def _worker_main(worker_id: int, inbox, outbox, snapshot_file=None) -> None:
+def _worker_main(
+    worker_id: int, inbox, outbox, snapshot_file=None, blas_budget=None
+) -> None:
     """Serve requests until shutdown; the plan and match caches stay warm.
 
     Each worker holds one :class:`~repro.frontend.compiler.Compiler`
@@ -326,13 +339,19 @@ def _worker_main(worker_id: int, inbox, outbox, snapshot_file=None) -> None:
     never outlive the request that filled them.  With a *snapshot_file*,
     the worker boots warm by loading the plan-cache/match-cache snapshot
     into the fresh session (stale/corrupt snapshots boot cold, reported via
-    ``stats``).  Messages are ``(kind, token, payload)`` tuples; every
-    message except ``shutdown``/``crash`` is answered with ``(token,
-    payload)`` on *outbox*.
+    ``stats``).  With a *blas_budget*, the worker first sizes every mapped
+    OpenBLAS to that many threads, so the pool's workers share the CPUs
+    instead of each spinning a thread per CPU; ``None`` (the parent saw a
+    user thread setting such as ``OPENBLAS_NUM_THREADS``) leaves the
+    libraries as configured.  Messages are ``(kind, token, payload)``
+    tuples; every message except ``shutdown``/``crash`` is answered with
+    ``(token, payload)`` on *outbox*.
     """
     # A worker forked by the serving CLI inherits its SIGTERM handler;
     # restore the default so ``terminate()`` still just ends the worker.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    if blas_budget is not None:
+        set_blas_threads(blas_budget)
     compiler = Compiler()
     snapshot_load = None
     if snapshot_file is not None:
@@ -397,6 +416,7 @@ def _worker_main(worker_id: int, inbox, outbox, snapshot_file=None) -> None:
                         "errors": failed,
                         "caches": compiler.cache_stats(),
                         "snapshot": snapshot_load,
+                        "blas_threads": blas_threads(),
                     },
                 )
             )
@@ -443,6 +463,9 @@ class WorkerPool:
         self.max_retries = max_retries
         self.snapshot_dir = Path(snapshot_dir) if snapshot_dir else None
         self.max_inflight_per_worker = max_inflight_per_worker
+        #: BLAS threads each worker runs with (``None``: left to the user's
+        #: environment settings); restarted workers get the same budget.
+        self.blas_budget = thread_budget(count)
         self.restarts = 0
         self.batches = 0
         self.rejections = 0
@@ -482,7 +505,13 @@ class WorkerPool:
         )
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(index, self._inboxes[index], self._outbox, snapshot_file),
+            args=(
+                index,
+                self._inboxes[index],
+                self._outbox,
+                snapshot_file,
+                self.blas_budget,
+            ),
             name=f"repro-service-worker-{index}",
             daemon=True,
         )

@@ -199,6 +199,22 @@ class TestModuleLoader:
         assert loader.stats()["evictions"] == 1
         loader.clear()
 
+    def test_evicted_and_cleared_modules_leave_no_files(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sys, "dont_write_bytecode", False)
+        loader = ModuleLoader(max_entries=2, directory=str(tmp_path))
+        for n in range(5, 10):
+            result = _compile(
+                f"Matrix A ({n}, {n}) <spd>\nMatrix B ({n}, 4) <>\nX := A^-1 * B\n"
+            )
+            loader.load(result.emit("module"), plan_signature(result))
+        sources = sorted(path.stem for path in tmp_path.glob("*.py"))
+        bytecode = sorted(
+            path.name.split(".")[0] for path in tmp_path.glob("__pycache__/*.pyc")
+        )
+        assert len(sources) == 2 and bytecode == sources
+        loader.clear()
+        assert [path for path in tmp_path.rglob("*") if path.is_file()] == []
+
     def test_run_reports_missing_operands(self):
         loader = ModuleLoader()
         result = _compile(CHAIN_SOURCE)

@@ -29,6 +29,8 @@ from repro.service import (
     create_executor,
     execute_request,
 )
+from repro.runtime import blas_threads as blas_threads_module
+from repro.runtime.blas_threads import blas_threads, set_blas_threads, thread_budget
 from repro.service.http import _ServiceRequestHandler, start_server
 
 #: Template for structurally similar chains: same shapes/properties/structure,
@@ -288,6 +290,72 @@ class TestWorkerPool:
     def test_ping_reports_all_workers(self, pool):
         health = pool.ping()
         assert health["alive"] == health["workers"] == 2
+
+    def test_workers_run_their_share_of_blas_threads(self, pool):
+        for entry in pool.stats()["per_worker"]:
+            assert entry["blas_threads"] == _pool_share(workers=2)
+
+    def test_restarted_worker_gets_the_same_blas_budget(self, pool):
+        before = pool.stats()["per_worker"][0]["pid"]
+        pool.crash_worker(0)
+        assert pool.ping()["status"] == "ok"
+        after = pool.stats()["per_worker"][0]
+        assert after["pid"] != before
+        assert after["blas_threads"] == _pool_share(workers=2)
+
+
+# ---------------------------------------------------------------------------
+# BLAS thread budget
+# ---------------------------------------------------------------------------
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _pool_share(workers: int) -> dict:
+    """Every OpenBLAS this process maps, at one worker's share of the CPUs."""
+    share = max(1, _usable_cpus() // workers)
+    return {name: share for name in blas_threads()}
+
+
+def test_user_thread_setting_leaves_worker_blas_alone(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    parent = blas_threads()
+    with WorkerPool(workers=2, request_timeout=120.0) as pool:
+        assert pool.blas_budget is None
+        for entry in pool.stats()["per_worker"]:
+            assert entry["blas_threads"] == parent
+
+
+@pytest.mark.parametrize("variable", blas_threads_module.THREAD_ENV_VARS)
+def test_thread_budget_defers_to_user_settings(monkeypatch, variable):
+    for name in blas_threads_module.THREAD_ENV_VARS:
+        monkeypatch.delenv(name, raising=False)
+    assert thread_budget(2) == max(1, _usable_cpus() // 2)
+    assert thread_budget(10 * _usable_cpus()) == 1
+    monkeypatch.setenv(variable, "3")
+    assert thread_budget(2) is None
+
+
+@pytest.mark.parametrize(
+    "maps",
+    [
+        None,  # no /proc (non-Linux)
+        "",
+        "7f00-7f01 r-xp 00000000 08:01 42 /usr/lib/libmkl_rt.so.2\n",
+    ],
+    ids=["missing", "empty", "no-openblas"],
+)
+def test_blas_helper_is_a_noop_without_openblas(tmp_path, monkeypatch, maps):
+    path = tmp_path / "maps"
+    if maps is not None:
+        path.write_text(maps)
+    monkeypatch.setattr(blas_threads_module, "MAPS_PATH", str(path))
+    assert blas_threads() == {}
+    assert set_blas_threads(1) == {}
 
 
 # ---------------------------------------------------------------------------
