@@ -4,7 +4,7 @@
 The GMC compiler answers *how* to compute a matrix program; this example
 actually computes one.  It compiles a small Kalman-style DAG, emits it as a
 standalone Python module (no ``repro`` import needed at runtime -- only
-NumPy/SciPy, with an optional numba fast path probed at import), loads it
+NumPy/SciPy), loads it
 through the signature-keyed module cache, runs it on seeded
 property-respecting random operands, and cross-checks the answer against
 the interpreted executor and the sequential reference evaluator.
@@ -49,7 +49,7 @@ def main() -> int:
     lines = source.splitlines()
     print(f"emitted module: {len(lines)} lines, plan {plan_signature(result)[:12]}")
     for line in lines:
-        if line.startswith(("ENTRYPOINT", "ARGUMENTS", "RESULT", "IMPLEMENTATION")):
+        if line.startswith(("ENTRYPOINT", "ARGUMENTS", "RESULT")):
             print(f"  {line}")
 
     # ------------------------------------------- load (cached) and run directly

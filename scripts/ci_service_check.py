@@ -11,10 +11,12 @@ worker pool), then drives the acceptance workload against it:
    through ``POST /batch``;
 4. every kernel sequence must equal a direct in-process
    ``compile_source`` call, every response must be 200, and ``GET /stats``
-   must report a pooled plan-cache hit rate of at least ``--min-hit-rate``
-   (default 0.5) over the warm half (the whole-plan cache of
-   :mod:`repro.persist` answers warm signature-equal traffic above the
-   solvers, so it -- not the match cache -- carries the warm hits);
+   must report a pooled program-cache hit rate of at least
+   ``--min-hit-rate`` (default 0.5) over the warm half (each worker's
+   name-abstracted program cache answers renamed repeats before anything
+   is parsed, so it -- not the plan or match cache -- carries the warm
+   hits), and every worker must have served at least two thirds of an
+   even share of the requests (the pool routes by load);
 5. a **multi-assignment DAG** program (forward reference to an earlier
    target plus an inline inverse-of-product that forces a synthetic
    extraction segment) goes through ``POST /compile``; the response's
@@ -36,8 +38,9 @@ worker pool), then drives the acceptance workload against it:
    ``request_id`` after riding through a pool worker);
 8. **workload analytics**: after the skewed traffic above, ``GET
    /analytics`` must rank the template structure's signature first (the
-   key equal to an in-process :func:`repro.service.api.affinity_key`
-   computation, proving cross-process key stability), ``GET /metrics``
+   key equal to one computed in-process from
+   :meth:`~repro.algebra.expression.Expression.signature`, proving
+   cross-process key stability), ``GET /metrics``
    must carry a positive ``repro_compile_phase_latency_seconds`` p99
    quantile series and ``GET /timeseries`` must have recorded the
    requests on its counter rings;
@@ -310,13 +313,14 @@ def analytics_check(base: str) -> int:
     By this point the driver has sent many signature-equal ``TEMPLATE``
     requests and exactly a handful of other structures, so ``GET
     /analytics`` must rank the template signature first (with the key
-    matching an in-process :func:`repro.service.api.affinity_key`
-    computation -- proving the heavy-hitter keys are stable across the
-    client/worker process boundary), ``GET /metrics`` must carry nonzero
-    latency quantile series, and ``GET /timeseries`` must show the
-    request counters.
+    matching one computed in-process from
+    :meth:`~repro.algebra.expression.Expression.signature` -- proving the
+    heavy-hitter keys are stable across the client/worker process
+    boundary), ``GET /metrics`` must carry nonzero latency quantile
+    series, and ``GET /timeseries`` must show the request counters.
     """
-    from repro.service.api import CompileRequest, affinity_key
+    from repro.algebra.dsl import parse_program
+    from repro.algebra.expression import signature_repr
 
     # A little extra skew, so the phase also passes standalone.
     for index in range(3):
@@ -332,7 +336,10 @@ def analytics_check(base: str) -> int:
     top = (report.get("signatures") or {}).get("top") or []
     if not top:
         return fail("/analytics reports no tracked signatures")
-    expected_key = affinity_key(CompileRequest(source=tagged_source("probe")))
+    probe = parse_program(tagged_source("probe"))
+    expected_key = signature_repr(
+        tuple(expression.signature() for _, expression in probe.assignments)
+    )
     if top[0]["signature"] != expected_key:
         return fail(
             f"/analytics top-1 signature is not the template structure: "
@@ -372,7 +379,7 @@ def analytics_check(base: str) -> int:
         return fail(f"/timeseries requests series only recorded {recorded}")
 
     print(
-        f"analytics: top-1 signature matches the in-process affinity key "
+        f"analytics: top-1 signature matches the in-process signature "
         f"(count {top[0]['count']}, plan-hit rate "
         f"{top[0]['plan_hit_rate']:.3f}), solve p99 "
         f"{float(match.group(1)) * 1e3:.3f} ms, {recorded:.0f} requests on "
@@ -671,22 +678,28 @@ def main(argv=None) -> int:
         if problem:
             return fail(f"nested-options request diverged: {problem}")
 
-        # The plan cache (the layer above the solvers) answers the warm
-        # half; the match cache underneath only sees cold solves.
-        cold_cache = stats_cold["caches"]["plan_cache"]
-        warm_cache = stats_warm["caches"]["plan_cache"]
+        # Each worker's program cache answers the renamed warm half before
+        # the plan and match caches are consulted.
+        cold_cache = stats_cold["caches"]["program_cache"]
+        warm_cache = stats_warm["caches"]["program_cache"]
         hits = warm_cache["hits"] - cold_cache["hits"]
         lookups = hits + warm_cache["misses"] - cold_cache["misses"]
         hit_rate = hits / lookups if lookups > 0 else 0.0
         print(
-            f"warm half: {len(warm_tags)} requests, pooled plan-cache hit rate "
-            f"{hit_rate:.3f} ({hits}/{lookups}), pool counters "
+            f"warm half: {len(warm_tags)} requests, pooled program-cache hit "
+            f"rate {hit_rate:.3f} ({hits}/{lookups}), pool counters "
             f"{stats_warm['pool']}"
         )
         if hit_rate < args.min_hit_rate:
             return fail(
                 f"warm pooled hit rate {hit_rate:.3f} < {args.min_hit_rate:.3f}"
             )
+        # At least two thirds of an even share per worker: a third of the
+        # requests each with two workers.
+        served = [entry["requests"] for entry in stats_warm["per_worker"]]
+        if min(served) * 3 * len(served) < 2 * sum(served):
+            return fail(f"load routing left a worker short: {served}")
+        print(f"load routing: requests per worker {served}")
 
         problem = blas_check(stats_warm, args.workers)
         if problem:

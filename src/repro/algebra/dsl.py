@@ -283,6 +283,88 @@ def parse_program(source: str) -> Program:
     return program
 
 
+#: The stand-in name :func:`abstract_operand_names` gives the i-th declared
+#: operand: ``__op<i>__``.
+OPERAND_PLACEHOLDER = re.compile(r"__op(\d+)__")
+
+#: Names the compiler generates itself (temporaries, synthetic segments).
+#: Which of them a compilation uses depends on the operand names it must
+#: avoid, so programs declaring such a name are not abstracted.
+_GENERATED_NAME = re.compile(r"T\d+|_s\d+")
+
+
+def abstract_operand_names(source: str) -> Optional[Tuple[str, Tuple[str, ...]]]:
+    """*source* with its declared operands renamed by declaration position.
+
+    Returns ``(canonical, names)``: ``canonical`` is the program's token
+    stream, one line per statement, with every operand-naming token of the
+    ``i``-th declared operand replaced by ``__op<i>__``
+    (:data:`OPERAND_PLACEHOLDER`); ``names`` lists the declared names in
+    declaration order.  Two programs with the same canonical text parse to
+    the same expressions up to that renaming (or both fail to parse), so
+    the canonical text keys name-abstracted caches and parses in their
+    place.  Only tokens the parser resolves as operands are replaced: the
+    name of a definition, and right-hand-side names other than the
+    ``inv(``/``trans(`` function spellings.  Property lists, targets and
+    keywords stay verbatim, so an operand named ``SPD`` or ``Matrix``
+    cannot alias a property or keyword.
+
+    Returns ``None`` -- the program is not abstracted -- when the text has
+    a character the tokenizer rejects, uses a placeholder-shaped name,
+    assigns to a declared name, or declares a name the compiler itself
+    generates (``T<n>``, ``_s<n>``).
+    """
+    lines: List[List[Tuple[str, str]]] = []
+    for raw_line in source.splitlines():
+        line = raw_line.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = []
+        for match in _TOKEN_RE.finditer(line):
+            kind = match.lastgroup
+            if kind in ("SKIP", "COMMENT"):
+                continue
+            text = match.group()
+            if kind == "MISMATCH" or (
+                kind == "NAME" and OPERAND_PLACEHOLDER.search(text)
+            ):
+                return None
+            tokens.append((kind, text))
+        if tokens:
+            lines.append(tokens)
+    declared: Dict[str, int] = {}
+    targets = set()
+    for tokens in lines:
+        if tokens[0][1] in ("Matrix", "Vector") and tokens[0][0] == "NAME":
+            if len(tokens) > 1 and tokens[1][0] == "NAME":
+                declared.setdefault(tokens[1][1], len(declared))
+        else:
+            targets.add(tokens[0][1])
+    for name in declared:
+        if name in targets or _GENERATED_NAME.fullmatch(name):
+            return None
+    canonical = []
+    for tokens in lines:
+        texts = [text for _, text in tokens]
+        if tokens[0][1] in ("Matrix", "Vector") and tokens[0][0] == "NAME":
+            if len(tokens) > 1 and tokens[1][0] == "NAME":
+                texts[1] = f"__op{declared[texts[1]]}__"
+        else:
+            for index in range(2, len(tokens)):
+                kind, text = tokens[index]
+                if kind != "NAME" or text not in declared:
+                    continue
+                if (
+                    text.lower() in ("inv", "trans")
+                    and index + 1 < len(tokens)
+                    and tokens[index + 1][0] == "LPAREN"
+                ):
+                    continue  # the function spelling, not the operand
+                texts[index] = f"__op{declared[text]}__"
+        canonical.append(" ".join(texts))
+    return "\n".join(canonical) + "\n", tuple(declared)
+
+
 def parse_expression(source: str, operands: Dict[str, Matrix]) -> Expression:
     """Parse a single expression against an existing operand dictionary."""
     tokens = tokenize(source, 1)

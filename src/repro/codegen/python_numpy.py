@@ -16,7 +16,7 @@ from typing import List
 
 from ..algebra.expression import Matrix
 from ..kernels.kernel import Program
-from .julia import _input_operands
+from .julia import _input_operands, render_call, temporary_renaming
 from .runtime_inline import standalone_preamble
 
 
@@ -24,8 +24,14 @@ def generate_numpy(program: Program, function_name: str = "compute") -> str:
     """Render a program as a standalone Python function using NumPy/SciPy."""
     operands = _input_operands(program)
     arguments = ", ".join(operand.name for operand in operands)
-    statements = [call.numpy() for call in program.calls]
-    lines: List[str] = [standalone_preamble(statements), ""]
+    rename = temporary_renaming(program)
+    rendered = [
+        render_call(call, call.kernel.numpy_call, rename) for call in program.calls
+    ]
+    # Helpers are found from the kernels' templates, not the rendered
+    # statements, so an operand named like a helper inlines nothing.
+    templates = [call.kernel.numpy_template for call in program.calls]
+    lines: List[str] = [standalone_preamble(templates), ""]
     lines.append(f"def {function_name}({arguments}):")
     if program.expression is not None:
         lines.append(f'    """Computes {program.expression}."""')
@@ -33,12 +39,9 @@ def generate_numpy(program: Program, function_name: str = "compute") -> str:
         output = program.output.name if program.output is not None else arguments
         lines.append(f"    return {output}")
         return "\n".join(lines)
-    for call in program.calls:
-        statement = call.numpy()
-        comment = f"  # {call.output.name} := {call.expression}" if call.expression else ""
-        lines.append(f"    {statement}{comment}")
+    lines.extend(f"    {statement}{comment}" for statement, comment in rendered)
     if program.output is not None:
-        lines.append(f"    return {program.output.name}")
+        lines.append(f"    return {rename(program.output.name)}")
     return "\n".join(lines)
 
 

@@ -156,7 +156,7 @@ class ExecuteResponse:
 
     ``results`` summarizes the program's final user target (shape, norms);
     ``validated`` / ``max_rel_error`` report the reference comparison;
-    ``implementation`` is what actually ran (``numpy``, ``numba`` or
+    ``implementation`` is what actually ran (``numpy`` or
     ``interpreter``); ``timing`` carries the per-phase seconds.  On
     failure ``phase`` names where it happened (``compile`` / ``operands``
     / ``emit`` / ``import`` / ``run`` / ``validate``).

@@ -49,6 +49,7 @@ from ..kernels.kernel import KernelCall, Program
 from ..obs.trace import Tracer
 from ..options import CompileOptions
 from ..persist.plan_cache import PlanCache
+from ..persist.program_cache import ProgramCache
 from ..telemetry import reset as _telemetry_reset
 from ..telemetry import snapshot as _telemetry_snapshot
 
@@ -334,6 +335,11 @@ class Compiler:
         #: Whole-plan cache consulted before dispatching to a solver
         #: (:mod:`repro.persist`); bound to the session's catalog.
         self.plan_cache: PlanCache = PlanCache(self.catalog)
+        #: Whole compiled programs keyed by their name-abstracted token
+        #: stream; consulted by the service before it parses a request
+        #: (:func:`repro.service.api.execute_request`), never by
+        #: :meth:`compile`.
+        self.program_cache: ProgramCache = ProgramCache(self.plan_cache)
 
     # ----------------------------------------------------------- resolution
     def _effective_options(
@@ -570,15 +576,23 @@ class Compiler:
     # ------------------------------------------------------------ telemetry
     def cache_stats(self) -> Dict[str, dict]:
         """Per-layer cache counters of this session (uniform stats protocol:
-        plan cache, match cache, interner, inference memo, kernel-cost
-        LRUs)."""
+        program cache, plan cache, match cache, interner, inference memo,
+        kernel-cost LRUs)."""
         return _telemetry_snapshot(
-            self.catalog, self._metrics, plan_cache=self.plan_cache
+            self.catalog,
+            self._metrics,
+            plan_cache=self.plan_cache,
+            program_cache=self.program_cache,
         )
 
     def reset_cache_stats(self) -> None:
         """Zero every cache counter the session can see."""
-        _telemetry_reset(self.catalog, self._metrics, plan_cache=self.plan_cache)
+        _telemetry_reset(
+            self.catalog,
+            self._metrics,
+            plan_cache=self.plan_cache,
+            program_cache=self.program_cache,
+        )
 
     def clear_name_memos(self) -> None:
         """Drop the memos keyed by concrete operand names.

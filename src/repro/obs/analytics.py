@@ -30,9 +30,11 @@ inside the telemetry snapshot) and :func:`service_analytics` (the HTTP
 front-end's endpoint latencies and 429/validation-failure rings, which
 must not double-count when the executor runs in-process).
 
-The layer is always-on but cheap (a dict update and a ``log`` per
-request); ``scripts/bench_generation.py --check-analytics-overhead`` gates
-warm serve throughput within a few percent of :func:`analytics_disabled`.
+The layer is always-on but cheap: a served request is one deque append,
+folded into the sketches in batches of :data:`RECORD_BATCH` (and before
+every read); ``scripts/bench_generation.py --check-analytics-overhead``
+gates warm serve throughput within a few percent of
+:func:`analytics_disabled`.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ import hashlib
 import math
 import threading
 import time
+from collections import deque
 from contextlib import contextmanager
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -71,6 +74,10 @@ DEFAULT_ALPHA = 0.01
 #: Default time-series resolution (seconds per slot) and retention (slots).
 DEFAULT_RING_RESOLUTION_S = 5.0
 DEFAULT_RING_SLOTS = 120
+
+#: Served requests queued before :meth:`WorkloadAnalytics.record_request`
+#: folds them into the sketches (reads fold the queue first).
+RECORD_BATCH = 64
 
 #: Values at or below this collapse into the quantile sketch's zero bucket
 #: (sub-nanosecond latencies carry no information at alpha ~ 1%).
@@ -186,9 +193,9 @@ class SpaceSavingSketch:
 
         Counts, error bounds and auxiliary aggregates add per key; when the
         union exceeds capacity the smallest-count entries are dropped
-        (their mass stays in ``total``).  For disjoint key sets that fit in
-        capacity -- the cross-worker case the pool produces, since affinity
-        routing sends each signature to one worker -- the merge is exact.
+        (their mass stays in ``total``).  When the union of the key sets
+        fits in capacity -- the usual case for the pool's workers, which
+        each see a share of every signature -- the merge is exact.
         """
         self.total += int(state.get("total", 0))
         for key, entry in (state.get("entries") or {}).items():
@@ -365,7 +372,10 @@ class CounterRing:
 
     def record(self, value: float = 1.0, now: Optional[float] = None) -> None:
         now = time.time() if now is None else now
-        slot = int(now // self.resolution_s)
+        self.add(int(now // self.resolution_s), value)
+
+    def add(self, slot: int, value: float = 1.0) -> None:
+        """Add *value* to the absolute slot index *slot*."""
         values = self._values
         if slot in values:
             # Hot path: incrementing the current slot cannot move the
@@ -443,6 +453,7 @@ class WorkloadAnalytics:
         self.signatures = SpaceSavingSketch(top_capacity)
         self._latency: Dict[Tuple[str, str, str], QuantileSketch] = {}
         self._rings: Dict[str, CounterRing] = {}
+        self._pending: "deque[Tuple[str, bool, float, float]]" = deque()
         self.requests = 0
         self.plan_hits = 0
 
@@ -455,15 +466,43 @@ class WorkloadAnalytics:
         latency_s: float,
         now: Optional[float] = None,
     ) -> None:
-        """One served compile request: heavy-hitter + counters + rings."""
+        """One served compile request: heavy-hitter + counters + rings.
+
+        The request is queued (one thread-safe deque append) and folded
+        into the sketches, in arrival order, once :data:`RECORD_BATCH` are
+        waiting or when the state is next read, so the warm serve path (a
+        program-cache hit) pays no per-request sketch update.
+        """
         now = time.time() if now is None else now
-        with self._lock:
-            self.requests += 1
-            self.signatures.observe(signature, plan_hit=plan_hit, latency_s=latency_s)
-            self._ring("requests").record(now=now)
+        pending = self._pending
+        pending.append((signature, plan_hit, latency_s, now))
+        if len(pending) >= RECORD_BATCH:
+            with self._lock:
+                self._fold_pending()
+
+    def _fold_pending(self) -> None:
+        """Fold the queued requests into the sketches (caller holds the
+        lock).  The heavy-hitter sketch sees them one by one in arrival
+        order; ring increments are summed per time slot first."""
+        pending = self._pending
+        if not pending:
+            return
+        observe = self.signatures.observe
+        resolution = self.ring_resolution_s
+        requests: Dict[int, int] = {}
+        plan_hits: Dict[int, int] = {}
+        while pending:
+            signature, plan_hit, latency_s, now = pending.popleft()
+            observe(signature, plan_hit=plan_hit, latency_s=latency_s)
+            slot = int(now // resolution)
+            requests[slot] = requests.get(slot, 0) + 1
             if plan_hit:
-                self.plan_hits += 1
-                self._ring("plan_hits").record(now=now)
+                plan_hits[slot] = plan_hits.get(slot, 0) + 1
+        for key, counts in (("requests", requests), ("plan_hits", plan_hits)):
+            for slot, count in counts.items():
+                self._ring(key).add(slot, count)
+        self.requests += sum(requests.values())
+        self.plan_hits += sum(plan_hits.values())
 
     def observe_latency(
         self, name: str, label_key: str, label_value: str, seconds: float
@@ -513,6 +552,7 @@ class WorkloadAnalytics:
         """The mergeable snapshot shipped as the ``analytics`` telemetry
         layer (numeric top-level keys render as layer gauges)."""
         with self._lock:
+            self._fold_pending()
             return {
                 "layer": "analytics",
                 "requests": self.requests,
@@ -536,6 +576,7 @@ class WorkloadAnalytics:
     def merge_state(self, state: Mapping) -> None:
         """Fold another process's ``state()`` into this instance."""
         with self._lock:
+            self._fold_pending()
             self.requests += int(state.get("requests", 0))
             self.plan_hits += int(state.get("plan_hits", 0))
             if state.get("signatures"):
@@ -558,6 +599,7 @@ class WorkloadAnalytics:
     def reset(self) -> None:
         """Drop every sketch (the analytics half of ``telemetry.reset``)."""
         with self._lock:
+            self._pending.clear()
             self.signatures = SpaceSavingSketch(self.signatures.capacity)
             self._latency = {}
             self._rings = {}

@@ -314,6 +314,9 @@ class PlanCache:
         self.restored = 0
         self._net_version = self._net.version
         self._registry_version = registry_version()
+        #: Bumped by every :meth:`clear` (explicit or on version drift), so
+        #: caches derived from this one's plans know to flush too.
+        self.generation = 0
 
     # ------------------------------------------------------------ inspection
     @property
@@ -356,8 +359,15 @@ class PlanCache:
         self._entries.clear()
         self._net_version = self._net.version
         self._registry_version = registry_version()
+        self.generation += 1
 
     # ---------------------------------------------------------- eligibility
+    def usable(self, options: CompileOptions) -> bool:
+        """Whether a compilation under *options* may use cached plans
+        (flushes first when the catalog or predicate registry moved)."""
+        self._sync()
+        return self._usable(options)
+
     def _usable(self, options: CompileOptions) -> bool:
         """Whether this request may touch the cache at all.
 

@@ -40,18 +40,19 @@ def instantiate_matrix(
     if Property.SYMMETRIC in properties:
         symmetric = (base + base.T) / 2.0
         return symmetric + rows * np.eye(rows)
-    if Property.LOWER_TRIANGULAR in properties:
-        lower = np.tril(base)
-        np.fill_diagonal(lower, np.abs(np.diag(lower)) + 1.0)
-        if Property.UNIT_DIAGONAL in properties:
-            np.fill_diagonal(lower, 1.0)
-        return lower
-    if Property.UPPER_TRIANGULAR in properties:
-        upper = np.triu(base)
-        np.fill_diagonal(upper, np.abs(np.diag(upper)) + 1.0)
-        if Property.UNIT_DIAGONAL in properties:
-            np.fill_diagonal(upper, 1.0)
-        return upper
+    if Property.LOWER_TRIANGULAR in properties or Property.UPPER_TRIANGULAR in properties:
+        triangle = (
+            np.tril(base) if Property.LOWER_TRIANGULAR in properties else np.triu(base)
+        )
+        # Diagonal dominance (n + |d| on the diagonal, like the SPD and
+        # non-singular branches' ``rows * I``) keeps the condition number
+        # bounded; a diagonal of only ``1 + |d|`` lets it grow exponentially
+        # with n.
+        diagonal = 1.0 if Property.UNIT_DIAGONAL in properties else (
+            rows + np.abs(np.diag(triangle))
+        )
+        np.fill_diagonal(triangle, diagonal)
+        return triangle
     if Property.ORTHOGONAL in properties:
         q, _ = np.linalg.qr(rng.standard_normal((rows, rows)))
         return q

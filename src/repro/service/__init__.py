@@ -7,9 +7,10 @@ long-running, concurrent service:
 
 * :mod:`repro.service.api` -- typed :class:`CompileRequest` /
   :class:`CompileResponse` model (JSON-dict wire format) and the shared
-  execution path;
+  execution path, which answers renamed repeats of a program from the
+  session's name-abstracted program cache;
 * :mod:`repro.service.pool` -- :class:`WorkerPool` of persistent
-  warm-cache worker processes with signature-affinity routing and
+  warm-cache worker processes, routed to the least-loaded worker, with
   crash restart, plus the synchronous :class:`InProcessExecutor` fallback;
 * :mod:`repro.service.http` -- stdlib HTTP front-end (``POST /compile``,
   ``POST /batch``, ``POST /execute``, ``GET /stats``, ``GET /healthz``),
@@ -19,7 +20,7 @@ long-running, concurrent service:
   :class:`~repro.exec.api.ExecuteRequest` /
   :class:`~repro.exec.api.ExecuteResponse` wire model;
 * :mod:`repro.telemetry` -- unified snapshot/aggregation of the cache and
-  counter layers (plan cache, match cache, interner, inference memo,
+  counter layers (program cache, plan cache, match cache, interner, inference memo,
   kernel-cost LRU, solver work, ...); it has no service dependencies and
   lives at the package root;
 * :mod:`repro.persist` -- plan-cache/match-cache snapshots backing warm
@@ -32,7 +33,6 @@ from .api import (
     CompileRequest,
     CompileResponse,
     RequestError,
-    affinity_key,
     execute_request,
 )
 from .pool import InProcessExecutor, PoolSaturatedError, WorkerPool, create_executor
@@ -44,7 +44,6 @@ __all__ = [
     "CompileResponse",
     "PoolSaturatedError",
     "RequestError",
-    "affinity_key",
     "execute_request",
     "InProcessExecutor",
     "WorkerPool",

@@ -25,21 +25,27 @@ executor: it runs the request through a
 :class:`~repro.frontend.compiler.Compiler` session -- the same class behind
 :func:`repro.frontend.compile_source` and the CLI -- so service responses
 are bit-identical to direct library calls (asserted in
-``tests/test_service.py`` and by ``scripts/ci_service_check.py``).
+``tests/test_service.py`` and by ``scripts/ci_service_check.py``).  A
+renamed repeat of a program the session compiled before is answered from
+the session's program cache without parsing it.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import time
 import uuid
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..algebra.dsl import parse_program
+from ..algebra.dsl import OPERAND_PLACEHOLDER, abstract_operand_names, parse_program
 from ..algebra.expression import signature_repr
+from ..codegen import get_emitter
 from ..frontend.compiler import Compiler
 from ..obs.analytics import analytics_enabled, workload_analytics
 from ..options import CompileOptions
+from ..persist.plan_cache import plan_fingerprint
 
 __all__ = [
     "RequestError",
@@ -47,7 +53,6 @@ __all__ = [
     "AssignmentResult",
     "CompileResponse",
     "execute_request",
-    "affinity_key",
 ]
 
 #: Top-level keys of the wire format.
@@ -175,6 +180,8 @@ class AssignmentResult:
     parenthesization: str
     cost: float
     flops: float
+    #: Seconds the plan took to generate; ``0.0`` when the session's
+    #: program cache answered the request (nothing was generated).
     generation_time_s: float
     code: Dict[str, str] = field(default_factory=dict)
     #: ``False`` when the solver's per-request deadline expired and the
@@ -291,6 +298,19 @@ def execute_request(
     catalog.  *worker* tags the response with the serving worker's id.
     Errors never propagate -- they are folded into an ``ok=False`` response
     so a malformed request cannot take down a worker.
+
+    The session's program cache answers first
+    (:class:`~repro.persist.program_cache.ProgramCache`).  The request's
+    source is reduced to its name-abstracted token stream
+    (:func:`~repro.algebra.dsl.abstract_operand_names`), which together
+    with the plan fingerprint of the options and the emit targets keys a
+    whole compiled program.  A miss compiles the name-abstracted program
+    and stores its assignments; the response, hit or miss, is the stored
+    assignments with the request's operand names substituted back.
+    Requests the cache bypasses compile the source as written, and so does
+    a request whose name-abstracted compile fails, so that error text
+    names the request's own operands.  Errors and deadline-cut results are
+    never stored.
     """
     started = time.perf_counter()
     try:
@@ -298,82 +318,62 @@ def execute_request(
             compiler = Compiler()
         request.validate()
         source = request.to_source()
-        parse_started = time.perf_counter()
-        program = parse_program(source)
-        parse_s = time.perf_counter() - parse_started
-
-        solve_started = time.perf_counter()
-        profile: Optional[dict] = None
-        if request.options.profile:
-            from ..obs.profile import profile_call, profile_payload
-
-            compiled, profiler = profile_call(
-                lambda: compiler.compile(program, options=request.options)
-            )
-            profile = profile_payload(profiler)
+        options = request.options
+        cache = compiler.program_cache
+        abstract = abstract_operand_names(source) if cache.usable(options) else None
+        if abstract is None:
+            cache.bypasses += 1
         else:
-            compiled = compiler.compile(program, options=request.options)
-        if getattr(compiled, "trace", None) is not None:
-            # Tag the span tree with the service request id so exported
-            # traces join with the structured log lines for this request.
-            compiled.trace.request_id = request.request_id
-        results: List[AssignmentResult] = []
-        for entry in compiled:
-            code = {name: entry.emit(name) for name in request.options.emit}
-            try:
-                cost = float(entry.solution.optimal_cost)  # type: ignore[arg-type]
-            except (TypeError, ValueError):
-                cost = float("nan")
-            results.append(
-                AssignmentResult(
-                    target=entry.target,
-                    expression=str(entry.expression),
-                    kernels=list(entry.program.kernel_names),
-                    parenthesization=entry.solution.parenthesization(),
-                    cost=cost,
-                    flops=entry.program.total_flops,
-                    generation_time_s=getattr(entry.solution, "generation_time", 0.0),
-                    code=code,
-                    complete=bool(getattr(entry.solution, "complete", True)),
-                    synthetic=bool(getattr(entry, "synthetic", False)),
+            canonical, names = abstract
+            key = (
+                canonical,
+                plan_fingerprint(options),
+                tuple(get_emitter(name) for name in options.emit),
+            )
+            entry = cache.lookup(key)
+            hit = entry is not None
+            phases: Tuple[Tuple[str, float], ...] = ()  # a hit parses nothing
+            if not hit:
+                try:
+                    results, signature, plan_hit, phases, _ = _compile(
+                        canonical, compiler, request
+                    )
+                except Exception:  # noqa: BLE001 -- recompiled below as written
+                    pass
+                else:
+                    entry = _ProgramEntry(tuple(results), signature, plan_hit)
+                    if all(result.complete for result in results):
+                        cache.store(key, entry)
+            if entry is not None:
+                bind = functools.partial(_bind_names, names)
+                results = [
+                    dataclasses.replace(
+                        result,
+                        expression=bind(result.expression),
+                        kernels=list(result.kernels),
+                        parenthesization=bind(result.parenthesization),
+                        generation_time_s=0.0 if hit else result.generation_time_s,
+                        code={lang: bind(code) for lang, code in result.code.items()},
+                    )
+                    for result in entry.assignments
+                ]
+                return _respond(
+                    request,
+                    results,
+                    entry.signature,
+                    hit or entry.plan_hit,
+                    phases,
+                    worker,
+                    started,
                 )
-            )
-        solve_s = time.perf_counter() - solve_started
-        total_s = time.perf_counter() - started
-        if analytics_enabled():
-            # The heavy-hitter key is the request's name-abstracted
-            # signature tuple -- the same value affinity_key() computes,
-            # but read off the already-parsed program (no re-parse on the
-            # hot path).  A request counts as a plan hit when no segment
-            # needed a cold DP solve.
-            signature = _request_signature(source, program)
-            plan_hit = bool(compiled.assignments) and all(
-                getattr(entry.solution, "from_plan_cache", False)
-                or not entry.program.calls
-                for entry in compiled
-            )
-            analytics = workload_analytics()
-            analytics.record_request(
-                signature, plan_hit=plan_hit, latency_s=total_s
-            )
-            analytics.observe_latencies(
-                "compile_phase_latency_seconds",
-                "phase",
-                (("parse", parse_s), ("solve", solve_s)),
-            )
-        return CompileResponse(
-            request_id=request.request_id,
-            ok=True,
-            assignments=results,
-            total_flops=sum(result.flops for result in results),
-            worker=worker,
-            timing={
-                "parse_s": parse_s,
-                "solve_s": solve_s,
-                "total_s": total_s,
-            },
-            profile=profile,
+        results, signature, plan_hit, phases, profile = _compile(
+            source, compiler, request
         )
+        response = _respond(
+            request, results, signature, plan_hit, phases, worker, started
+        )
+        response.profile = profile
+        return response
     except Exception as exc:  # noqa: BLE001 -- fold into the response
         return CompileResponse(
             request_id=request.request_id,
@@ -384,55 +384,116 @@ def execute_request(
         )
 
 
-#: Source-text -> signature-string memo for the analytics hot path.  A
-#: signature walk over a fresh parse tree costs ~10us; warm serve traffic
-#: repeats identical request texts, so keying by the exact source makes
-#: the per-request analytics cost a dict probe.  (Structurally similar
-#: requests under fresh names miss here and pay the walk -- but those
-#: requests also pay a full parse, so the relative cost stays negligible.)
-#: Wholesale clear at capacity: the memo is tiny and refills in one warm
-#: round trip, which beats per-entry LRU bookkeeping on every hit.
-_SIGNATURE_MEMO: Dict[str, str] = {}
-_SIGNATURE_MEMO_MAX = 4096
+@dataclass(frozen=True)
+class _ProgramEntry:
+    """A program-cache entry: the assignments of a name-abstracted compile
+    (operands named ``__op<i>__``), the program's analytics signature, and
+    whether its compile needed no cold dynamic-program solve."""
+
+    assignments: Tuple[AssignmentResult, ...]
+    signature: str
+    plan_hit: bool
 
 
-def _request_signature(source: str, program) -> str:
-    signature = _SIGNATURE_MEMO.get(source)
-    if signature is None:
-        signature = signature_repr(
-            tuple(expr.signature() for _, expr in program.assignments)
-        )
-        if len(_SIGNATURE_MEMO) >= _SIGNATURE_MEMO_MAX:
-            _SIGNATURE_MEMO.clear()
-        _SIGNATURE_MEMO[source] = signature
-    return signature
+def _bind_names(names: Sequence[str], text: str) -> str:
+    """*text* with every ``__op<i>__`` placeholder replaced by ``names[i]``."""
+    return OPERAND_PLACEHOLDER.sub(lambda match: names[int(match.group(1))], text)
 
 
-def affinity_key(request: CompileRequest) -> str:
-    """A stable key equal for structurally similar requests.
+def _compile(source: str, compiler: Compiler, request: CompileRequest):
+    """Parse and compile *source* under *request*'s options.
 
-    Structurally similar chains (same shapes, properties and equality
-    structure, arbitrary operand names) share their name-abstracted
-    expression signatures, so routing by this key lands them on the worker
-    whose signature-keyed plan and match caches are already warm for them.
-    Those are the only layers routing can keep warm: the name-keyed memos
-    (interner, inference, kernel cost) are cleared after every request.
-    Requests that fail to parse fall back to their raw text (they will fail
-    identically on any worker).
-
-    This parses the request in the dispatching process (the worker parses
-    again); that is deliberate -- parsing is orders of magnitude cheaper
-    than solving, and no text-level normalization reproduces the
-    name-abstracted signature the caches are keyed by.  Parsing and the
-    signature walk build plain expression trees without interning or
-    inferring, so the front end's memos do not grow with traffic.
+    Returns the assignments, the program's analytics signature, whether no
+    segment needed a cold dynamic-program solve, the ``(phase, seconds)``
+    pairs and the ``profile`` payload (``None`` unless requested).
     """
-    try:
-        program = parse_program(request.to_source())
-        return signature_repr(
-            tuple(expr.signature() for _, expr in program.assignments)
+    options = request.options
+    parse_started = time.perf_counter()
+    program = parse_program(source)
+    parse_s = time.perf_counter() - parse_started
+    solve_started = time.perf_counter()
+    profile: Optional[dict] = None
+    if options.profile:
+        from ..obs.profile import profile_call, profile_payload
+
+        compiled, profiler = profile_call(
+            lambda: compiler.compile(program, options=options)
         )
-    except Exception:  # noqa: BLE001 -- unparseable: any worker will do
-        return request.source or repr(
-            (request.operands, request.assignments)
+        profile = profile_payload(profiler)
+    else:
+        compiled = compiler.compile(program, options=options)
+    if getattr(compiled, "trace", None) is not None:
+        # Tag the span tree with the service request id so exported
+        # traces join with the structured log lines for this request.
+        compiled.trace.request_id = request.request_id
+    results = _assignment_results(compiled, options.emit)
+    phases = (("parse", parse_s), ("solve", time.perf_counter() - solve_started))
+    return results, _program_signature(program), _plan_hit(compiled), phases, profile
+
+
+def _assignment_results(compiled, emit: Sequence[str]) -> List[AssignmentResult]:
+    results: List[AssignmentResult] = []
+    for entry in compiled:
+        try:
+            cost = float(entry.solution.optimal_cost)  # type: ignore[arg-type]
+        except (TypeError, ValueError):
+            cost = float("nan")
+        results.append(
+            AssignmentResult(
+                target=entry.target,
+                expression=str(entry.expression),
+                kernels=list(entry.program.kernel_names),
+                parenthesization=entry.solution.parenthesization(),
+                cost=cost,
+                flops=entry.program.total_flops,
+                generation_time_s=getattr(entry.solution, "generation_time", 0.0),
+                code={name: entry.emit(name) for name in emit},
+                complete=bool(getattr(entry.solution, "complete", True)),
+                synthetic=bool(getattr(entry, "synthetic", False)),
+            )
         )
+    return results
+
+
+def _program_signature(program) -> str:
+    """The heavy-hitter key of a parsed program: its name-abstracted
+    signature tuple, rendered stably across processes."""
+    return signature_repr(tuple(expr.signature() for _, expr in program.assignments))
+
+
+def _plan_hit(compiled) -> bool:
+    """Whether no segment of *compiled* needed a cold dynamic-program solve."""
+    return bool(compiled.assignments) and all(
+        getattr(entry.solution, "from_plan_cache", False) or not entry.program.calls
+        for entry in compiled
+    )
+
+
+def _respond(
+    request: CompileRequest,
+    results: List[AssignmentResult],
+    signature: str,
+    plan_hit: bool,
+    phases: Tuple[Tuple[str, float], ...],
+    worker: Optional[int],
+    started: float,
+) -> CompileResponse:
+    """Build the ``ok`` response and record it in the workload analytics."""
+    total_s = time.perf_counter() - started
+    if analytics_enabled():
+        analytics = workload_analytics()
+        analytics.record_request(signature, plan_hit=plan_hit, latency_s=total_s)
+        if phases:
+            analytics.observe_latencies(
+                "compile_phase_latency_seconds", "phase", phases
+            )
+    timing = {f"{phase}_s": seconds for phase, seconds in phases}
+    timing["total_s"] = total_s
+    return CompileResponse(
+        request_id=request.request_id,
+        ok=True,
+        assignments=results,
+        total_flops=sum(result.flops for result in results),
+        worker=worker,
+        timing=timing,
+    )

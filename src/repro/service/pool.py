@@ -22,20 +22,22 @@ process -- no subprocesses, deterministic, used by tier-1 tests and as the
 
 :class:`WorkerPool` owns N persistent worker *processes*.  Each worker
 builds the default kernel catalog once and keeps the name-abstracted
-cache layers warm across requests: the signature-keyed match cache and the
-whole-plan cache.  The memos keyed by concrete operand names -- the
-expression interner, the property-inference memo and the kernel-cost LRU
-of each metric -- are per-request scratch: every request brings fresh
-operand names, so no later request would hit them, and both executors
-clear them after each request
+cache layers warm across requests: the whole-program cache, the
+whole-plan cache and the signature-keyed match cache.  The memos keyed by
+concrete operand names -- the expression interner, the property-inference
+memo and the kernel-cost LRU of each metric -- are per-request scratch:
+every request brings fresh operand names, so no later request would hit
+them, and both executors clear them after each request
 (:meth:`~repro.frontend.compiler.Compiler.clear_name_memos`) to keep a
-worker's memory flat.  Requests are routed by **affinity**: structurally
-similar chains share their name-abstracted signature
-(:func:`repro.service.api.affinity_key`) and land on the same worker, whose
-plan and match caches are already warm for them.  A worker that dies
-(crash, OOM kill) is transparently restarted and its in-flight requests are
-resubmitted, up to ``max_retries`` per request; requests that keep killing
-workers come back as ``ok=False`` responses instead of hanging the caller.
+worker's memory flat.  Requests are routed by **load**: each goes to the
+worker with the fewest in-flight requests (ties rotate), chosen without
+looking at the request at all -- the parent never parses.  Every worker
+warms its own caches, so a program shape costs one compile per worker,
+after which each worker's program cache answers its renamed repeats.  A
+worker that dies (crash, OOM kill) is transparently restarted and its
+in-flight requests are resubmitted, up to ``max_retries`` per request;
+requests that keep killing workers come back as ``ok=False`` responses
+instead of hanging the caller.
 
 **BLAS threads**: every worker sizes the OpenBLAS builds mapped into it
 (NumPy's and SciPy's each default to one busy-waiting thread per CPU) to
@@ -90,7 +92,7 @@ from ..persist.snapshot import (
     write_snapshot,
 )
 from .. import telemetry
-from .api import CompileRequest, CompileResponse, affinity_key, execute_request
+from .api import CompileRequest, CompileResponse, execute_request
 
 _LOG = get_logger("service.pool")
 
@@ -329,17 +331,17 @@ class InProcessExecutor:
 def _worker_main(
     worker_id: int, inbox, outbox, snapshot_file=None, blas_budget=None
 ) -> None:
-    """Serve requests until shutdown; the plan and match caches stay warm.
+    """Serve requests until shutdown; the session's caches stay warm.
 
     Each worker holds one :class:`~repro.frontend.compiler.Compiler`
-    session: the session owns the catalog (with its match cache) and the
-    plan cache, the layers that make repeated structurally similar
-    requests cheap.  The memos keyed by operand names (interner, inference
-    memo, kernel-cost LRUs) are cleared after each reply is sent, so they
-    never outlive the request that filled them.  With a *snapshot_file*,
-    the worker boots warm by loading the plan-cache/match-cache snapshot
-    into the fresh session (stale/corrupt snapshots boot cold, reported via
-    ``stats``).  With a *blas_budget*, the worker first sizes every mapped
+    session: the session owns the catalog (with its match cache), the plan
+    cache and the program cache, the layers that make repeated
+    structurally similar requests cheap.  The memos keyed by operand names
+    (interner, inference memo, kernel-cost LRUs) are cleared after each
+    reply is sent, so they never outlive the request that filled them.
+    With a *snapshot_file*, the worker boots warm by loading the
+    plan-cache/match-cache snapshot into the fresh session (stale/corrupt
+    snapshots boot cold, reported via ``stats``).  With a *blas_budget*, the worker first sizes every mapped
     OpenBLAS to that many threads, so the pool's workers share the CPUs
     instead of each spinning a thread per CPU; ``None`` (the parent saw a
     user thread setting such as ``OPENBLAS_NUM_THREADS``) leaves the
@@ -366,6 +368,11 @@ def _worker_main(
         if kind == "shutdown":
             break
         if kind == "crash":  # test hook: simulate a hard worker death
+            # Die between replies: exiting while the outbox's feeder thread
+            # holds the queue's cross-process write lock would leave that
+            # lock taken and wedge every worker's replies.
+            outbox.close()
+            outbox.join_thread()
             os._exit(17)
         if kind == "request":
             try:
@@ -469,9 +476,12 @@ class WorkerPool:
         self.restarts = 0
         self.batches = 0
         self.rejections = 0
-        #: In-flight *request* count per worker (the backpressure signal;
-        #: control messages -- stats/ping/snapshot -- are never counted).
+        #: In-flight *request* count per worker (the routing and
+        #: backpressure signal; control messages -- stats/ping/snapshot --
+        #: are never counted).
         self._request_load = [0] * count
+        #: Where the next least-loaded scan starts, so ties rotate.
+        self._next_worker = 0
 
         self._inboxes = [self._ctx.Queue() for _ in range(count)]
         self._outbox = self._ctx.Queue()
@@ -597,41 +607,48 @@ class WorkerPool:
         if entry is not None and entry[1] in ("request", "execute"):
             self._request_load[entry[0]] -= 1
 
-    def _reserve(self, indices: Sequence[int]) -> None:
-        """Reserve in-flight slots on every worker in *indices*, atomically.
+    def _reserve(self, count: int) -> List[int]:
+        """Route *count* requests to the least-loaded workers, atomically.
 
-        All-or-nothing: a batch whose demand would push any worker past
-        ``max_inflight_per_worker`` is rejected as a whole (no partial
-        dispatch), which is what lets ``POST /batch`` answer 429 instead of
-        returning a half-completed batch.
+        Each request claims an in-flight slot on the worker with the
+        fewest in flight at that moment, scanning from a rotating start so
+        ties spread round-robin.  All-or-nothing: a batch larger than the
+        pool's free slots is rejected as a whole (no partial dispatch),
+        which is what lets ``POST /batch`` answer 429 instead of returning
+        a half-completed batch.
         """
-        demand: Dict[int, int] = {}
-        for index in indices:
-            demand[index] = demand.get(index, 0) + 1
+        workers = len(self._request_load)
         with self._lock:
             if self._closed:
                 raise RuntimeError("worker pool is closed")
-            for index, extra in demand.items():
-                load = self._request_load[index]
-                if load + extra > self.max_inflight_per_worker:
-                    self.rejections += 1
-                    _LOG.warning(
-                        "pool saturated, request rejected",
-                        extra={
-                            "worker": index,
-                            "queued": load,
-                            "requested": extra,
-                            "max_inflight_per_worker": self.max_inflight_per_worker,
-                            "rejections": self.rejections,
-                        },
-                    )
-                    raise PoolSaturatedError(
-                        f"worker {index} would exceed its in-flight bound "
-                        f"({load} queued + {extra} new > "
-                        f"{self.max_inflight_per_worker})"
-                    )
-            for index, extra in demand.items():
-                self._request_load[index] += extra
+            free = self.max_inflight_per_worker * workers - sum(self._request_load)
+            if count > free:
+                self.rejections += 1
+                _LOG.warning(
+                    "pool saturated, request rejected",
+                    extra={
+                        "queued": sum(self._request_load),
+                        "requested": count,
+                        "max_inflight_per_worker": self.max_inflight_per_worker,
+                        "rejections": self.rejections,
+                    },
+                )
+                raise PoolSaturatedError(
+                    f"{count} request(s) would exceed the pool's in-flight "
+                    f"bound ({workers} workers x {self.max_inflight_per_worker}, "
+                    f"{free} free)"
+                )
+            indices = []
+            for _ in range(count):
+                start = self._next_worker
+                index = min(
+                    ((start + offset) % workers for offset in range(workers)),
+                    key=self._request_load.__getitem__,
+                )
+                self._request_load[index] += 1
+                self._next_worker = (index + 1) % workers
+                indices.append(index)
+            return indices
 
     def _dispatch(self, index: int, kind: str, payload) -> int:
         token = next(self._tokens)
@@ -752,35 +769,26 @@ class WorkerPool:
 
     # -------------------------------------------------------------- routing
     def worker_for(self, request: CompileRequest) -> int:
-        """Affinity routing: structurally similar requests share a worker."""
-        key = affinity_key(request)
-        # Stable across processes and runs (unlike ``hash`` on strings).
-        digest = 0
-        for char in key:
-            digest = (digest * 1000003 + ord(char)) & 0xFFFFFFFF
-        return digest % len(self._procs)
+        """Load routing: reserve an in-flight slot on the least-loaded
+        worker and return its index.  The request itself is not inspected;
+        the caller dispatches it to that worker (whose slot the reply
+        releases)."""
+        return self._reserve(1)[0]
 
     # ------------------------------------------------------------------ API
     def submit(
         self, request: CompileRequest, timeout: Optional[float] = None
     ) -> CompileResponse:
         index = self.worker_for(request)
-        self._reserve([index])
         token = self._dispatch(index, "request", request.to_dict())
         return CompileResponse.from_dict(self._wait(token, timeout))
 
     def execute(self, request, timeout: Optional[float] = None):
-        """Compile-and-run one :class:`~repro.exec.api.ExecuteRequest`.
-
-        Routed by the *compile* half's affinity key, so an execute lands on
-        the worker whose plan/match caches -- and emitted-module cache --
-        are already warm for structurally similar programs.  Counts against
-        the same per-worker in-flight bound as :meth:`submit`.
-        """
+        """Compile-and-run one :class:`~repro.exec.api.ExecuteRequest` on
+        the least-loaded worker (same in-flight bound as :meth:`submit`)."""
         from ..exec.api import ExecuteResponse
 
         index = self.worker_for(request.compile)
-        self._reserve([index])
         token = self._dispatch(index, "execute", request.to_dict())
         return ExecuteResponse.from_dict(self._wait(token, timeout))
 
@@ -789,14 +797,13 @@ class WorkerPool:
     ) -> List[CompileResponse]:
         """Compile many requests concurrently across the pool.
 
-        All requests are dispatched before any response is awaited, so the
-        batch spreads over every worker the affinity map names; responses
-        come back in submission order.  A batch that would overflow any
-        worker's in-flight bound raises :class:`PoolSaturatedError` before
+        All requests are routed and dispatched before any response is
+        awaited, so the batch spreads evenly over the workers; responses
+        come back in submission order.  A batch larger than the pool's
+        free in-flight slots raises :class:`PoolSaturatedError` before
         dispatching anything.
         """
-        indices = [self.worker_for(request) for request in requests]
-        self._reserve(indices)
+        indices = self._reserve(len(requests))
         with self._lock:
             self.batches += 1
         tokens = [

@@ -1,10 +1,14 @@
 """Unified cache telemetry: snapshot, reset and aggregate every cache layer.
 
-The compilation pipeline owns five caches plus the solver work counters,
+The compilation pipeline owns six caches plus the solver work counters,
 each of which exposes the uniform ``stats()`` / ``reset_stats()`` protocol
 (plain dicts with ``size``, ``max_entries``, ``hits``, ``misses``,
 ``hit_rate`` and ``evictions`` for the caches):
 
+* the **program cache** of a compiler session
+  (:class:`repro.persist.program_cache.ProgramCache`) -- whole compiled
+  programs keyed by their name-abstracted token stream, consulted by the
+  service before it parses a request;
 * the **plan cache** of a compiler session
   (:class:`repro.persist.plan_cache.PlanCache`) -- signature-keyed whole
   solved plans, consulted before the dynamic program runs;
@@ -65,6 +69,7 @@ __all__ = ["CACHE_LAYERS", "snapshot", "reset", "aggregate"]
 
 #: The telemetry layers every snapshot reports, in display order.
 CACHE_LAYERS = (
+    "program_cache",
     "plan_cache",
     "match_cache",
     "interner",
@@ -114,19 +119,34 @@ def _combine(stats: Sequence[Mapping], layer: str) -> Dict[str, object]:
     return combined
 
 
+def _empty_cache_stats(layer: str) -> Dict[str, object]:
+    return {
+        "layer": layer,
+        "size": 0,
+        "max_entries": 0,
+        "hits": 0,
+        "misses": 0,
+        "hit_rate": 0.0,
+        "evictions": 0,
+        "bypasses": 0,
+    }
+
+
 def snapshot(
     catalog: Optional[KernelCatalog] = None,
     metrics: Optional[Mapping[str, CostMetric]] = None,
     plan_cache=None,
+    program_cache=None,
 ) -> Dict[str, dict]:
     """One process's cache counters, keyed by layer name.
 
     *catalog* defaults to :func:`default_catalog`; *metrics* is the
     executor's cache of live metric instances (their kernel-cost memos are
     combined into one ``kernel_cost`` entry, with a per-metric breakdown
-    under ``per_metric``); *plan_cache* is the session's whole-plan cache
-    (the layer reports zeros when the caller has none -- the plan cache is
-    per-session state, unlike the process-global interner/inference memos).
+    under ``per_metric``); *plan_cache* and *program_cache* are the
+    session's whole-plan and whole-program caches (each layer reports zeros
+    when the caller has none -- both are per-session state, unlike the
+    process-global interner/inference memos).
     """
     # Imported lazily: repro.exec pulls in the codegen registry, and the
     # registry's own bootstrap imports repro.exec -- deferring here keeps
@@ -138,16 +158,12 @@ def snapshot(
     plan_stats = (
         plan_cache.stats()
         if plan_cache is not None
-        else {
-            "layer": "plan_cache",
-            "size": 0,
-            "max_entries": 0,
-            "hits": 0,
-            "misses": 0,
-            "hit_rate": 0.0,
-            "evictions": 0,
-            "bypasses": 0,
-        }
+        else _empty_cache_stats("plan_cache")
+    )
+    program_stats = (
+        program_cache.stats()
+        if program_cache is not None
+        else _empty_cache_stats("program_cache")
     )
     metric_items = list((metrics or {}).items())
     metric_stats: List[dict] = [metric.stats() for _, metric in metric_items]
@@ -162,6 +178,7 @@ def snapshot(
         for (cache_key, _), entry in zip(metric_items, metric_stats)
     }
     return {
+        "program_cache": program_stats,
         "plan_cache": plan_stats,
         "match_cache": catalog.match_cache.stats(),
         "interner": default_interner().stats(),
@@ -178,6 +195,7 @@ def reset(
     catalog: Optional[KernelCatalog] = None,
     metrics: Optional[Mapping[str, CostMetric]] = None,
     plan_cache=None,
+    program_cache=None,
 ) -> None:
     """Zero the stats counters of every layer (entries stay warm)."""
     from .exec.loader import execution_telemetry
@@ -186,6 +204,8 @@ def reset(
     catalog = catalog if catalog is not None else default_catalog()
     if plan_cache is not None:
         plan_cache.reset_stats()
+    if program_cache is not None:
+        program_cache.reset_stats()
     catalog.match_cache.reset_stats()
     default_interner().reset_stats()
     inference_engine().reset_stats()

@@ -25,12 +25,14 @@ import json
 import logging
 import random
 import re
+import threading
 import urllib.request
 
 import pytest
 
 from repro.obs import reset_service_metrics
 from repro.obs.analytics import (
+    RECORD_BATCH,
     CounterRing,
     QuantileSketch,
     SpaceSavingSketch,
@@ -58,7 +60,9 @@ from repro.obs.profile import (
 )
 from repro.obs.trace import Tracer
 from repro.service import CompileRequest, InProcessExecutor, WorkerPool
-from repro.service.api import affinity_key, execute_request
+from repro.algebra.dsl import parse_program
+from repro.algebra.expression import signature_repr
+from repro.service.api import execute_request
 from repro.service.http import start_server
 
 
@@ -70,6 +74,13 @@ def source_for(tag: str, size: int = 60) -> str:
         f"Matrix {tag}B ({size}, {size - 10}) <>\n"
         f"X := {tag}A^-1 * {tag}B\n"
     )
+
+
+def program_signature(source: str) -> str:
+    """The heavy-hitter key the service records for *source*, computed
+    in-process from :meth:`Expression.signature`."""
+    program = parse_program(source)
+    return signature_repr(tuple(expr.signature() for _, expr in program.assignments))
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +266,53 @@ class TestWorkloadAnalytics:
         assert state["rings"]["requests"]["values"]
         assert state["latency"][0]["value"] == "solve"
 
+    def test_queued_requests_fold_like_a_sequential_stream(self):
+        # More signatures than the sketch tracks, so the Space-Saving
+        # evictions depend on arrival order, over several ring slots.
+        analytics = WorkloadAnalytics()
+        sketch = SpaceSavingSketch(analytics.signatures.capacity)
+        rings = {"requests": CounterRing(), "plan_hits": CounterRing()}
+        count = 3 * RECORD_BATCH + 5
+        for i in range(count):
+            signature = f"sig-{(i * 7) % 70}"
+            plan_hit = i % 3 != 0
+            now = 1000.0 + 0.1 * i
+            analytics.record_request(
+                signature, plan_hit=plan_hit, latency_s=0.001 * i, now=now
+            )
+            sketch.observe(signature, plan_hit=plan_hit, latency_s=0.001 * i)
+            rings["requests"].record(now=now)
+            if plan_hit:
+                rings["plan_hits"].record(now=now)
+        state = analytics.state()
+        assert state["requests"] == count
+        assert state["plan_hits"] == sum(i % 3 != 0 for i in range(count))
+        assert state["signatures"] == sketch.to_state()
+        assert state["rings"] == {key: ring.to_state() for key, ring in rings.items()}
+
+    def test_concurrent_recording_loses_nothing(self):
+        analytics = WorkloadAnalytics()
+
+        def record():
+            for i in range(1000):
+                analytics.record_request(f"sig-{i % 5}", plan_hit=True, latency_s=0.0)
+
+        threads = [threading.Thread(target=record) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        state = analytics.state()
+        assert state["requests"] == state["plan_hits"] == 4000
+        assert sum(e["count"] for e in state["signatures"]["entries"].values()) == 4000
+
+    def test_reset_drops_queued_requests(self):
+        analytics = WorkloadAnalytics()
+        analytics.record_request("s", plan_hit=True, latency_s=0.1)
+        analytics.reset()
+        state = analytics.state()
+        assert state["requests"] == 0 and state["tracked_signatures"] == 0
+
     def test_merge_disjoint_states_matches_single_stream(self):
         reference = WorkloadAnalytics()
         shards = [WorkloadAnalytics() for _ in range(2)]
@@ -322,7 +380,7 @@ class TestExecuteRequestRecording:
         finally:
             executor.close()
 
-    def test_signature_matches_affinity_key_and_abstracts_names(self):
+    def test_signature_matches_expression_signature_and_abstracts_names(self):
         executor = InProcessExecutor()
         try:
             workload_analytics().reset()
@@ -330,9 +388,7 @@ class TestExecuteRequestRecording:
             executor.submit(CompileRequest(source=source_for("two")))
             top = analytics_report(workload_analytics().state())["signatures"]["top"]
             assert len(top) == 1 and top[0]["count"] == 2
-            assert top[0]["signature"] == affinity_key(
-                CompileRequest(source=source_for("three"))
-            )
+            assert top[0]["signature"] == program_signature(source_for("three"))
         finally:
             executor.close()
 
@@ -358,9 +414,9 @@ class TestExecuteRequestRecording:
 
 class TestPoolMerging:
     def test_two_workers_disjoint_traffic_merges_to_reference(self):
-        # Distinct structures hash to (potentially) different workers via
-        # affinity routing; the pooled analytics must equal what one
-        # single-stream reference process would have recorded.
+        # Load routing spreads the traffic over both workers; the pooled
+        # analytics must equal what one single-stream reference process
+        # would have recorded.
         sizes = [40, 50, 60, 70]
         repeats = {40: 4, 50: 3, 60: 2, 70: 1}
         pool = WorkerPool(workers=2, request_timeout=120.0)
@@ -376,13 +432,15 @@ class TestPoolMerging:
             report = analytics_report(pooled)
             counts = [e["count"] for e in report["signatures"]["top"]]
             assert counts == sorted(repeats.values(), reverse=True)
-            assert report["signatures"]["top"][0]["signature"] == affinity_key(
-                CompileRequest(source=source_for("z", 40))
+            assert report["signatures"]["top"][0]["signature"] == program_signature(
+                source_for("z", 40)
             )
-            # Quantiles merged across workers: one pooled sketch with all
-            # the samples.
+            # Quantiles merged across workers: one pooled sketch with a
+            # solve sample per request the program cache did not answer.
             phases = report["latency"]["compile_phase_latency_seconds"]
-            assert phases["solve"]["count"] == sum(repeats.values())
+            programs = pool.stats()["caches"]["program_cache"]
+            assert programs["hits"] + programs["misses"] == sum(repeats.values())
+            assert phases["solve"]["count"] == programs["misses"]
         finally:
             pool.close()
 

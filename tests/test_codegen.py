@@ -45,9 +45,12 @@ class TestJuliaGeneration:
             assert name in header
 
     def test_return_statement_references_output(self):
+        # Temporaries are numbered per program in definition order, so the
+        # second (last) call's output is T2, whatever the global counter.
         _, program = _table2_program()
         code = generate_julia(program)
-        assert f"return {program.output.name}" in code
+        assert program.output is program.calls[-1].output
+        assert "return T2" in code
 
     def test_comments_carry_symbolic_expressions(self):
         _, program = _table2_program()

@@ -390,6 +390,9 @@ class TestExecutorWarmBoot:
         warm = second.submit(CompileRequest(source=tagged("W1")))
         assert warm.ok and warm.assignments[0].kernels == reference
         stats = second.stats()
+        # A new session's program cache is empty (it is never snapshotted):
+        # the snapshot's plan cache answers the first request.
+        assert stats["caches"]["program_cache"]["misses"] == 1
         assert stats["caches"]["plan_cache"]["hits"] >= 1
         assert stats["snapshot"]["loaded"] is True
         second.close()
@@ -413,6 +416,7 @@ class TestExecutorWarmBoot:
             warm = restarted.submit(CompileRequest(source=tagged("P1")))
             assert warm.ok and warm.assignments[0].kernels == reference
             stats = restarted.stats()
+            assert stats["caches"]["program_cache"]["misses"] == 1
             assert stats["caches"]["plan_cache"]["hits"] >= 1
             assert stats["snapshot"]["workers_loaded"] == 1
 
@@ -563,9 +567,9 @@ class TestBackpressure:
 
     def test_pool_reservation_is_all_or_nothing(self):
         with WorkerPool(workers=1, max_inflight_per_worker=2) as pool:
-            pool._reserve([0])  # one slot taken
+            pool._reserve(1)  # one slot taken
             with pytest.raises(PoolSaturatedError):
-                pool._reserve([0, 0])  # two more would exceed the bound
+                pool._reserve(2)  # two more would exceed the bound
             with pool._lock:
                 assert pool._request_load[0] == 1  # nothing partially booked
             assert pool.rejections == 1

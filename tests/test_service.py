@@ -7,15 +7,18 @@ import io
 import json
 import multiprocessing
 import os
+import re
 import statistics
 import time
 import urllib.error
 import urllib.request
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from urllib.parse import urlparse
 
 import pytest
 
+from repro.algebra.dsl import abstract_operand_names
 from repro.experiments.workload import jacobian_workload
 from repro.frontend import compile_source
 from repro.options import CompileOptions
@@ -25,7 +28,6 @@ from repro.service import (
     InProcessExecutor,
     RequestError,
     WorkerPool,
-    affinity_key,
     create_executor,
     execute_request,
 )
@@ -111,15 +113,13 @@ class TestApi:
         assert clone.kernel_sequences == response.kernel_sequences
         assert clone.ok and clone.total_flops == response.total_flops
 
-    def test_affinity_key_is_name_abstracted(self):
+    def test_program_key_is_name_abstracted(self):
         a, b = similar_sources(2)
-        assert affinity_key(CompileRequest(source=a)) == affinity_key(
-            CompileRequest(source=b)
-        )
-        different = CompileRequest(
-            source="Matrix A (7, 7) <>\nX := A * A * A\n"
-        )
-        assert affinity_key(CompileRequest(source=a)) != affinity_key(different)
+        key_a, names_a = abstract_operand_names(a)
+        key_b, names_b = abstract_operand_names(b)
+        assert key_a == key_b and names_a != names_b
+        different = "Matrix A (7, 7) <>\nX := A * A * A\n"
+        assert abstract_operand_names(different)[0] != key_a
 
 
 # ---------------------------------------------------------------------------
@@ -154,13 +154,8 @@ class TestInProcessExecutor:
             )
 
     def test_emitted_code_matches_frontend(self):
-        import re
-
-        def normalized(code: str) -> str:
-            # Temporary names draw from a process-global counter, so two
-            # compilations of the same source differ only in T<n> numbering.
-            return re.sub(r"\bT\d+\b", "T#", code)
-
+        # Emitters number temporaries per program, so the code is identical
+        # byte for byte, whatever either process compiled before.
         source = similar_sources(1, prefix="Code")[0]
         with create_executor(in_process=True) as executor:
             response = executor.submit(
@@ -169,12 +164,8 @@ class TestInProcessExecutor:
                 )
             )
         direct = compile_source(source)
-        assert normalized(response.assignment("X").code["julia"]) == normalized(
-            direct.assignment("X").julia()
-        )
-        assert normalized(response.assignment("X").code["numpy"]) == normalized(
-            direct.assignment("X").numpy()
-        )
+        assert response.assignment("X").code["julia"] == direct.assignment("X").julia()
+        assert response.assignment("X").code["numpy"] == direct.assignment("X").numpy()
 
     def test_stats_reflect_real_hits_and_reset(self):
         with create_executor(in_process=True) as executor:
@@ -184,18 +175,33 @@ class TestInProcessExecutor:
             stats = executor.stats()
             assert stats["mode"] == "in-process"
             assert stats["pool"]["requests"] == 6
-            match = stats["caches"]["match_cache"]
-            # Request 2..6 are structurally identical to request 1, so the
-            # signature-keyed cache must hit on the warm majority.
-            assert match["hits"] > 0
-            assert match["hit_rate"] > 0.5
-            for layer in ("match_cache", "interner", "inference", "kernel_cost"):
+            # Requests 2..6 are renamed copies of request 1: the program
+            # cache answers them before anything is parsed.
+            program = stats["caches"]["program_cache"]
+            assert (program["hits"], program["misses"]) == (5, 1)
+            for layer in (
+                "program_cache",
+                "plan_cache",
+                "match_cache",
+                "interner",
+                "inference",
+                "kernel_cost",
+            ):
                 entry = stats["caches"][layer]
                 for key in ("hits", "misses", "hit_rate", "size", "evictions"):
                     assert key in entry, (layer, key)
+            # A program sharing the X segment but with an extra assignment
+            # misses the program cache; the plan cache answers the shared
+            # segment.
+            extended = TEMPLATE.replace("{t}", "Ext") + "Y := BExt^T * BExt\n"
+            assert executor.submit(CompileRequest(source=extended)).ok
+            caches = executor.stats()["caches"]
+            assert caches["program_cache"]["misses"] == 2
+            assert caches["plan_cache"]["hits"] >= 1
             executor.reset_stats()
             after = executor.stats()
             assert after["pool"]["requests"] == 0
+            assert after["caches"]["program_cache"]["hits"] == 0
             assert after["caches"]["match_cache"]["hits"] == 0
 
     def test_bad_request_is_error_response(self):
@@ -251,12 +257,33 @@ class TestWorkerPool:
                 "X"
             ).kernel_sequence
 
-    def test_affinity_routes_similar_requests_to_one_worker(self, pool):
-        requests = [CompileRequest(source=s) for s in similar_sources(5, prefix="Aff")]
-        workers = {pool.worker_for(request) for request in requests}
-        assert len(workers) == 1
+    def test_batch_spreads_evenly_over_workers(self, pool):
+        # Load routing: a batch of 2N requests puts N on each of 2 workers,
+        # whatever their structure.
+        requests = [CompileRequest(source=s) for s in similar_sources(8, prefix="Even")]
         responses = pool.compile_batch(requests)
-        assert {response.worker for response in responses} == workers
+        assert all(response.ok for response in responses)
+        assert Counter(response.worker for response in responses) == {0: 4, 1: 4}
+
+    def test_concurrent_routing_balances_and_releases_every_slot(self, pool):
+        import sys
+
+        sources = similar_sources(32, prefix="Conc")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as clients:
+                futures = [
+                    clients.submit(pool.submit, CompileRequest(source=source), 60.0)
+                    for source in sources
+                ]
+                responses = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(response.ok for response in responses)
+        assert {response.worker for response in responses} == {0, 1}
+        with pool._lock:
+            assert pool._request_load == [0, 0]
 
     def test_pooled_stats_reflect_hits(self, pool):
         pool.reset_stats()
@@ -266,19 +293,17 @@ class TestWorkerPool:
         assert stats["mode"] == "pool"
         assert stats["workers"] == 2
         assert stats["pool"]["requests"] == 8
-        # The plan cache answers renamed (signature-equal) requests above
-        # the solvers, so warm traffic shows up there -- the match cache
-        # underneath only ever sees cold solves (possibly none, when the
-        # pool is already warm from earlier requests in this module).
-        assert stats["caches"]["plan_cache"]["hits"] >= 7
-        assert stats["caches"]["plan_cache"]["hit_rate"] > 0.5
+        # Each worker's program cache answers renamed repeats: at most one
+        # miss per worker (none when earlier tests already warmed it).
+        assert stats["caches"]["program_cache"]["hits"] >= 6
+        assert stats["caches"]["program_cache"]["hit_rate"] > 0.5
         assert len(stats["per_worker"]) == 2
 
     def test_worker_crash_restarts_and_recovers(self, pool):
         requests = [
             CompileRequest(source=s) for s in similar_sources(4, prefix="Crash")
         ]
-        target = pool.worker_for(requests[0])
+        target = 0
         restarts_before = pool.restarts
         pool.crash_worker(target)
         assert not pool._procs[target].is_alive()
@@ -365,12 +390,20 @@ def test_blas_helper_is_a_noop_without_openblas(tmp_path, monkeypatch, maps):
 #: Jacobian sibling models (fresh operand names per model, one structure);
 #: each executor gets its own slice so no name was seen before.
 JACOBIAN_MODELS = jacobian_workload(60, 6)
-#: Segment lookups of 30 models (6 blocks + the Gram segment each) miss
-#: the plan cache only for the two distinct segment signatures.
+
+#: Segment-level plan-cache hit rate of 30 models sharing two segment
+#: signatures (one Gram, one block) across 7 segments each.
 JACOBIAN_PLAN_HIT_RATE = 1 - 2 / (30 * 7)
 
 
-@pytest.mark.parametrize(
+def _own_targets(source, index):
+    """*source* with its targets (``G``, ``J<k>``) suffixed by *index*:
+    target names stay verbatim in the program-cache key, so models renamed
+    this way miss the program cache but still share plan segments."""
+    return re.sub(r"\b(G|J\d+)\b", rf"\g<1>_{index}", source)
+
+
+EXECUTOR_MODELS = pytest.mark.parametrize(
     "make_executor, models",
     [
         (InProcessExecutor, JACOBIAN_MODELS[:30]),
@@ -378,21 +411,42 @@ JACOBIAN_PLAN_HIT_RATE = 1 - 2 / (30 * 7)
     ],
     ids=["in-process", "pool"],
 )
+
+
+@EXECUTOR_MODELS
 def test_name_keyed_memos_do_not_grow_across_requests(make_executor, models):
     memos = ("interner", "inference", "kernel_cost")
     with make_executor() as executor:
         executor.reset_stats()
         sizes = {}
         for index, model in enumerate(models, start=1):
-            assert executor.submit(CompileRequest(source=model.source)).ok
+            # Every request misses the program cache, so each one is
+            # parsed, decomposed and rebound and fills the memos afresh.
+            source = _own_targets(model.source, index)
+            assert executor.submit(CompileRequest(source=source)).ok
             if index in (5, 30):
                 caches = executor.stats()["caches"]
                 sizes[index] = {memo: caches[memo]["size"] for memo in memos}
-        plan_cache = executor.stats()["caches"]["plan_cache"]
+        caches = executor.stats()["caches"]
     for memo in memos:
         assert sizes[30][memo] <= sizes[5][memo], (memo, sizes)
+    assert caches["program_cache"]["hits"] == 0
+    assert caches["program_cache"]["misses"] == 30
     # Warmth across requests lives in the name-abstracted plan cache.
-    assert plan_cache["hit_rate"] == pytest.approx(JACOBIAN_PLAN_HIT_RATE)
+    assert caches["plan_cache"]["hit_rate"] == pytest.approx(JACOBIAN_PLAN_HIT_RATE)
+
+
+@EXECUTOR_MODELS
+def test_renamed_repeats_are_program_cache_hits(make_executor, models):
+    with make_executor() as executor:
+        executor.reset_stats()
+        for model in models:
+            assert executor.submit(CompileRequest(source=model.source)).ok
+        caches = executor.stats()["caches"]
+    # The models share one program key: only the first reaches the plan
+    # cache, which misses on its two distinct segment signatures.
+    assert caches["program_cache"]["hit_rate"] == pytest.approx(29 / 30)
+    assert caches["plan_cache"]["misses"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -457,11 +511,10 @@ class TestHTTP:
             {"requests": [{"source": source} for source in sources]},
         )
         _, after = _get(f"{http_service}/stats")
-        # Warm signature-equal traffic is answered by the plan cache (the
-        # layer above the solvers); the match cache only ever sees cold
-        # solves underneath it.
-        layer_before = before["caches"]["plan_cache"]
-        layer_after = after["caches"]["plan_cache"]
+        # Renamed repeats are answered by the program cache, before the
+        # plan and match caches are consulted.
+        layer_before = before["caches"]["program_cache"]
+        layer_after = after["caches"]["program_cache"]
         assert layer_after["hits"] > layer_before["hits"]
         new_lookups = (
             layer_after["hits"]
