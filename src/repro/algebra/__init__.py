@@ -36,13 +36,6 @@ from .inference import (
     properties_after_inverse,
     properties_after_transpose,
 )
-from .interning import (
-    ExpressionInterner,
-    clear_intern_table,
-    default_interner,
-    intern,
-    interning_disabled,
-)
 from .operators import Inverse, InverseTranspose, Plus, Times, Transpose
 from .properties import Property, PropertyError, closure, implies, parse_property
 from .simplify import (
@@ -84,11 +77,6 @@ __all__ = [
     "inference_engine",
     "legacy_inference",
     "clear_inference_cache",
-    "ExpressionInterner",
-    "intern",
-    "default_interner",
-    "interning_disabled",
-    "clear_intern_table",
     "is_lower_triangular",
     "is_upper_triangular",
     "is_diagonal",

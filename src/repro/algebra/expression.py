@@ -197,8 +197,7 @@ class Expression:
 
         Non-matrix leaves (pattern wildcards) keep their full structural key,
         so distinct patterns never collide.  The result is cached on the node
-        (expressions are immutable), so with hash-consed nodes it is computed
-        once per canonical subtree.
+        (expressions are immutable).
         """
         try:
             return self._sig_cache
@@ -407,17 +406,8 @@ class Temporary(Matrix):
 
     @classmethod
     def reset_counter(cls) -> None:
-        """Reset the global naming counter (used by tests for determinism).
-
-        Temporary identity is name-based and assumes names are never reused;
-        resetting the counter breaks that assumption for any canonical nodes
-        already held by the process-wide interner, so the intern table is
-        dropped along with the counter.
-        """
+        """Reset the global naming counter (used by tests for determinism)."""
         cls._counter = itertools.count(1)
-        from .interning import clear_intern_table
-
-        clear_intern_table()
 
 
 class Reference(Matrix):

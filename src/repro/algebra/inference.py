@@ -22,7 +22,7 @@ Two implementations coexist:
   literally and serve as the reference oracle;
 * the *single-pass memoized engine* (:class:`PropertyInference`), which
   computes the full property set of every tree node in one bottom-up
-  traversal and memoizes results per (hash-consed) node, so that the GMC
+  traversal and memoizes results per structurally equal node, so that the GMC
   dynamic program pays O(1) amortized inference per shared subtree instead
   of one recursive walk per property predicate.  The equivalence of the two
   paths is asserted property-based in ``tests/test_inference_equivalence.py``.
@@ -713,9 +713,9 @@ class PropertyInference:
     exact set of :data:`PREDICATES` keys whose legacy predicate would return
     ``True`` on that node -- in *one* bottom-up traversal with O(1) amortized
     work per node, instead of one recursive walk per predicate.  Results are
-    memoized across calls keyed by structural identity, which collapses to
-    pointer identity for hash-consed nodes (see
-    :mod:`repro.algebra.interning`).
+    memoized across calls keyed by structural identity; every node caches
+    its hash and identity key at construction, so a lookup does not re-walk
+    the subtree.
 
     The memo is bounded and *version aware*: a registry mutation (which
     changes predicate semantics) still drops everything, but plain capacity

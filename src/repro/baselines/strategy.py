@@ -28,7 +28,6 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..algebra.expression import Expression, Matrix, Temporary
 from ..algebra.inference import infer_properties
-from ..algebra.interning import intern
 from ..algebra.operators import Inverse, InverseTranspose, Times, Transpose
 from ..algebra.properties import Property
 from ..algebra.simplify import as_chain, unary_decomposition, wrap_leaf
@@ -186,7 +185,7 @@ class _StrategyProgramBuilder:
             return factor
         leaf, transposed, _ = unary_decomposition(factor)
         masked = self._masked(leaf, self.strategy.solve_properties)
-        expr = intern(Inverse(masked))
+        expr = Inverse(masked)
         kernel, substitution = self._select_kernel(expr)
         properties = infer_properties(expr) & (
             self.strategy.product_properties | SHAPE_PROPERTIES
@@ -202,7 +201,7 @@ class _StrategyProgramBuilder:
 
     # -------------------------------------------------------------- products
     def _emit_product(self, left: Expression, right: Expression) -> Expression:
-        expr = intern(Times(self._mask_factor(left), self._mask_factor(right)))
+        expr = Times(self._mask_factor(left), self._mask_factor(right))
         kernel, substitution = self._select_kernel(expr)
         properties = infer_properties(expr) & (
             self.strategy.product_properties | SHAPE_PROPERTIES
@@ -238,9 +237,7 @@ class _StrategyProgramBuilder:
         kept = (leaf.properties & visible) | (leaf.properties & SHAPE_PROPERTIES)
         if kept == leaf.properties:
             return leaf
-        # Masked copies recur for every product the strategy emits; interning
-        # dedupes them so inference over masked operands memoizes by identity.
-        return intern(Matrix(leaf.name, leaf.rows, leaf.columns, kept))
+        return Matrix(leaf.name, leaf.rows, leaf.columns, kept)
 
     def _select_kernel(self, expr: Expression) -> Tuple[Kernel, Substitution]:
         matches = self.catalog.match(expr)

@@ -53,7 +53,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..algebra.expression import Expression, Matrix, Temporary, signature_digest
 from ..algebra.inference import infer_properties
-from ..algebra.interning import intern
 from ..algebra.operators import Times
 from ..algebra.simplify import as_chain, unary_decomposition
 from ..cost.metrics import CostMetric
@@ -474,10 +473,6 @@ class GMCAlgorithm:
     def _solve_factors(
         self, factors: Tuple[Expression, ...], expression: Expression
     ) -> GMCSolution:
-        # Hash-cons the chain factors so that every sub-chain built below
-        # shares canonical nodes; the memoized property inference (and every
-        # other expression-keyed cache) then hits by object identity.
-        factors = tuple(intern(factor) for factor in factors)
         n = len(factors)
         metric = self.metric
         costs: List[List[object]] = [
@@ -661,10 +656,8 @@ class GMCAlgorithm:
         # Properties of M[i..j] do not depend on the split, so the
         # temporary (and its property inference) is created once per
         # *computable* cell -- the O(n^2 p) refinement of Section 3.4;
-        # dead cells never pay inference.  The sub-chain is interned so
-        # inference memoizes per canonical node across cells (and
-        # repeated solves).
-        sub_chain = intern(Times(*factors[i : j + 1]))
+        # dead cells never pay inference.
+        sub_chain = Times(*factors[i : j + 1])
         costs[i][j] = best_cost
         splits[i][j] = best_choice.split
         choices[i][j] = best_choice

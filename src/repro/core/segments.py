@@ -22,11 +22,11 @@ Decomposition performs three rewrites, in one pass over the program:
   be pushed to the leaves (``(A B)^-1`` with non-square ``A``, ``B``) makes
   the inner product its own segment; the unary then wraps the segment's
   square result operand, which is a valid chain factor;
-* **hash-consed common-subexpression identification** -- segments are keyed
-  by their interned canonical chain (and source) expression; a sub-expression
-  that appears again -- as a later assignment's right-hand side or inside
-  another extraction -- reuses the existing segment's result operand instead
-  of being solved twice.
+* **common-subexpression identification** -- segments are keyed by their
+  canonical chain (and source) expression, compared structurally; a
+  sub-expression that appears again -- as a later assignment's right-hand
+  side or inside another extraction -- reuses the existing segment's result
+  operand instead of being solved twice.
 
 Segments come out in dependency order (a segment only references results of
 earlier segments), so the per-segment kernel programs concatenate into one
@@ -58,7 +58,6 @@ from ..algebra.expression import (
     signature_digest,
 )
 from ..algebra.inference import infer_properties
-from ..algebra.interning import intern
 from ..algebra.operators import Inverse, InverseTranspose, Plus, Times, Transpose
 from ..algebra.simplify import NormalizationError, is_chain_factor, normalize
 from .gmc import UncomputableChainError
@@ -184,8 +183,8 @@ class _Decomposer:
         self.segments: List[ChainSegment] = []
         #: Latest segment per assignment target (reference resolution).
         self.by_target: Dict[str, ChainSegment] = {}
-        #: Hash-consed CSE map: interned canonical (source or chain)
-        #: expression -> producing segment.
+        #: CSE map: canonical (source or chain) expression, compared
+        #: structurally -> producing segment.
         self.by_source: Dict[Expression, ChainSegment] = {}
         self._used_names = set(self.operands) | {t for t, _ in program.assignments}
         self._synth_counter = 0
@@ -247,7 +246,7 @@ class _Decomposer:
 
     def _reuse(self, expr: Expression) -> Optional[Expression]:
         """The existing segment result for *expr*, when one was registered."""
-        seg = self.by_source.get(intern(expr))
+        seg = self.by_source.get(expr)
         if seg is None:
             return None
         if not seg.trivial:
@@ -269,7 +268,7 @@ class _Decomposer:
         return None
 
     def _extract(self, inner: Expression) -> ChainSegment:
-        seg = self.by_source.get(intern(inner))
+        seg = self.by_source.get(inner)
         if seg is not None:
             if not seg.trivial:
                 seg.uses += 1
@@ -287,7 +286,7 @@ class _Decomposer:
             result: Expression = Temporary(
                 rows=chain.rows,
                 columns=chain.columns,
-                properties=infer_properties(intern(chain)),
+                properties=infer_properties(chain),
                 origin=chain,
                 name=target,
             )
@@ -302,11 +301,11 @@ class _Decomposer:
         )
         self.segments.append(seg)
         if len(factors) >= 2:
-            # Hash-consed CSE registration: later occurrences of either the
+            # CSE registration: later occurrences of either the
             # written form (references unresolved) or the canonical chain
             # reuse this segment's result instead of being solved again.
-            self.by_source.setdefault(intern(source), seg)
-            self.by_source.setdefault(intern(chain), seg)
+            self.by_source.setdefault(source, seg)
+            self.by_source.setdefault(chain, seg)
         return seg
 
     def _fresh_name(self) -> str:

@@ -23,7 +23,6 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from ..algebra.expression import Expression, Matrix, Temporary
 from ..algebra.inference import infer_properties
-from ..algebra.interning import intern
 from ..algebra.operators import Times
 from ..cost.metrics import CostMetric
 from ..kernels.catalog import KernelCatalog
@@ -200,9 +199,6 @@ class TopDownGMC:
 
     def _solve(self, chain: ChainLike) -> TopDownSolution:
         factors, expression = _coerce_chain(chain)
-        # Hash-cons the factors (see GMCAlgorithm._solve_factors): sub-chains
-        # then share canonical nodes and inference memoizes by identity.
-        factors = tuple(intern(factor) for factor in factors)
         checker = DeadlineChecker(self.deadline_s)
         work = WorkCounters()
         table: Dict[Tuple[int, int], _SubChain] = {}
@@ -215,7 +211,7 @@ class TopDownGMC:
                 return factors[i]  # type: ignore[return-value]
             key = (i, j)
             if key not in operands:
-                sub_chain = intern(Times(*factors[i : j + 1]))
+                sub_chain = Times(*factors[i : j + 1])
                 operands[key] = Temporary(
                     rows=sub_chain.rows,
                     columns=sub_chain.columns,

@@ -110,7 +110,7 @@ class CostMetric:
 
     def stats(self) -> dict:
         """Plain-dict counters for the kernel-cost memo (uniform cache-stats
-        protocol shared with the interner, inference memo and match cache)."""
+        protocol shared with the inference memo and match cache)."""
         cache = getattr(self, "_cost_cache", None)
         return {
             "layer": "kernel_cost",

@@ -11,6 +11,9 @@ whole-DAG program of a :class:`~repro.frontend.compiler.CompilationResult`
 * the entrypoint runs exactly the statements the ``numpy`` emitter
   renders, so module output matches the interpreter
   (:class:`repro.runtime.executor.Executor`) bit for bit;
+* temporaries are numbered ``T1..Tk`` in definition order, as in the
+  ``numpy`` and ``julia`` emitters, so the text does not depend on what
+  the process compiled before;
 * metadata constants (``ENTRYPOINT``, ``ARGUMENTS``, ``RESULT``,
   ``OPERANDS``) drive the loader/runner (:mod:`repro.exec.loader`) and make
   the module self-describing.
@@ -26,7 +29,7 @@ import hashlib
 from typing import List
 
 from ..algebra.expression import Matrix
-from ..codegen.julia import _input_operands
+from ..codegen.julia import _input_operands, render_call, temporary_renaming
 from ..codegen.runtime_inline import helpers_used, render_helpers
 from ..kernels.kernel import Program
 
@@ -61,26 +64,20 @@ def _operand_metadata(operands: List[Matrix]) -> List[str]:
     return lines
 
 
-def _body_statements(calls, statements) -> List[str]:
-    lines = []
-    for call, statement in zip(calls, statements):
-        comment = (
-            f"  # {call.output.name} := {call.expression}" if call.expression else ""
-        )
-        lines.append(f"    {statement}{comment}")
-    return lines
-
-
 def generate_module(program: Program, function_name: str = "compute") -> str:
     """Render *program* as a self-contained importable Python module."""
     operands = _module_operands(program)
     arguments = [operand.name for operand in operands]
     signature = ", ".join(arguments)
-    statements = [call.numpy() for call in program.calls]
+    rename = temporary_renaming(program)
+    rendered = [
+        render_call(call, call.kernel.numpy_call, rename) for call in program.calls
+    ]
+    statements = [statement for statement, _ in rendered]
     if program.output is not None:
-        result_name = program.output.name
+        result_name = rename(program.output.name)
     elif program.calls:
-        result_name = program.calls[-1].output.name
+        result_name = rename(program.calls[-1].output.name)
     elif arguments:
         result_name = arguments[0]
     else:
@@ -125,8 +122,7 @@ def generate_module(program: Program, function_name: str = "compute") -> str:
     lines.append(f"def {function_name}({signature}):")
     if program.expression is not None:
         lines.append(f'    """Computes {program.expression}."""')
-    if program.calls:
-        lines += _body_statements(program.calls, statements)
+    lines.extend(f"    {statement}{comment}" for statement, comment in rendered)
     lines.append(f"    return {result_name}")
     return "\n".join(lines) + "\n"
 

@@ -34,7 +34,6 @@ from ..algebra.dsl import Program as ParsedProgram
 from ..algebra.dsl import ParseError, parse_program
 from ..algebra.expression import Expression, Matrix, ShapeError
 from ..algebra.inference import clear_inference_cache
-from ..algebra.interning import clear_intern_table
 from ..codegen import available_emitters, get_emitter
 from ..core import make_solver
 from ..core.gmc import UncomputableChainError
@@ -302,7 +301,7 @@ class Compiler:
 
     The session owns the kernel catalog and one live
     :class:`~repro.cost.metrics.CostMetric` instance per metric name, so
-    every compilation through it shares the interner, the inference memo,
+    every compilation through it shares the inference memo,
     the signature-keyed match cache and the kernel-cost LRU.  A service
     worker keeps only the name-abstracted plan and match caches between
     requests (:meth:`clear_name_memos`).
@@ -576,7 +575,7 @@ class Compiler:
     # ------------------------------------------------------------ telemetry
     def cache_stats(self) -> Dict[str, dict]:
         """Per-layer cache counters of this session (uniform stats protocol:
-        program cache, plan cache, match cache, interner, inference memo,
+        program cache, plan cache, match cache, inference memo,
         kernel-cost LRUs)."""
         return _telemetry_snapshot(
             self.catalog,
@@ -597,7 +596,7 @@ class Compiler:
     def clear_name_memos(self) -> None:
         """Drop the memos keyed by concrete operand names.
 
-        Clears the process-wide expression interner and inference memo and
+        Clears the process-wide inference memo and
         the kernel-cost memo of every session metric.  Their keys carry the
         operands' names, so a later request under fresh names never hits
         them; the name-abstracted plan and match caches, which do carry
@@ -606,7 +605,6 @@ class Compiler:
         calls this after every request; :meth:`compile` never does, so
         library callers keep the memos warm across compilations.
         """
-        clear_intern_table()
         clear_inference_cache()
         for metric in self._metrics.values():
             metric.clear_cost_cache()

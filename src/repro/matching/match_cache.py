@@ -2,7 +2,7 @@
 
 Profiling shows that the per-split matching step of the GMC dynamic program
 -- the discrimination-net walk plus constraint checks -- dominates generation
-time even after expression hash-consing, and that structurally identical
+time, and that structurally identical
 cells re-pay it on every solve: a DP cell's subject is ``Times(left, right)``
 over two operands, and the *outcome* of matching depends only on the
 operands' shapes, declared properties and equality structure, never on their

@@ -24,8 +24,7 @@ Six stdlib-only modules, threaded through every layer of the pipeline:
 Tracing and profiling are zero-overhead when disabled (the hot DP loops
 never see a tracer or profiler object), and the always-on analytics layer
 is sketch-cheap; both properties are gated in CI by
-``scripts/bench_generation.py --check-trace-overhead`` and
-``--check-analytics-overhead``.
+``scripts/ci_overhead_check.py``.
 """
 
 from .analytics import (

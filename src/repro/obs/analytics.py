@@ -32,8 +32,8 @@ must not double-count when the executor runs in-process).
 
 The layer is always-on but cheap: a served request is one deque append,
 folded into the sketches in batches of :data:`RECORD_BATCH` (and before
-every read); ``scripts/bench_generation.py --check-analytics-overhead``
-gates warm serve throughput within a few percent of
+every read); ``scripts/ci_overhead_check.py`` gates warm serve
+throughput within a few percent of
 :func:`analytics_disabled`.
 """
 

@@ -68,7 +68,6 @@ from ..algebra.inference import (
     registry_is_customized,
     registry_version,
 )
-from ..algebra.interning import intern
 from ..algebra.operators import Times
 from ..core.gmc import _coerce_chain
 from ..kernels.catalog import KernelCatalog
@@ -193,7 +192,7 @@ class CachedPlanSolution:
         key = (i, j)
         operand = self._operands.get(key)
         if operand is None:
-            sub_chain = intern(Times(*self.factors[i : j + 1]))
+            sub_chain = Times(*self.factors[i : j + 1])
             operand = Temporary(
                 rows=sub_chain.rows,
                 columns=sub_chain.columns,
@@ -394,12 +393,11 @@ class PlanCache:
 
     @staticmethod
     def _chain(expression: Expression):
-        """Normalize to interned chain factors; ``None`` when not a chain."""
+        """Normalize to chain factors; ``None`` when not a chain."""
         try:
             factors, _ = _coerce_chain(expression)
         except Exception:  # noqa: BLE001 -- let the solver raise its own error
             return None
-        factors = tuple(intern(factor) for factor in factors)
         for factor in factors:
             for node in factor.preorder():
                 if isinstance(node, Reference):
@@ -417,7 +415,7 @@ class PlanCache:
 
     @staticmethod
     def _chain_expression(factors: Tuple[Expression, ...]) -> Expression:
-        return intern(Times(*factors)) if len(factors) > 1 else factors[0]
+        return Times(*factors) if len(factors) > 1 else factors[0]
 
     # ---------------------------------------------------------------- lookup
     def lookup(

@@ -20,7 +20,7 @@ long-running, concurrent service:
   :class:`~repro.exec.api.ExecuteRequest` /
   :class:`~repro.exec.api.ExecuteResponse` wire model;
 * :mod:`repro.telemetry` -- unified snapshot/aggregation of the cache and
-  counter layers (program cache, plan cache, match cache, interner, inference memo,
+  counter layers (program cache, plan cache, match cache, inference memo,
   kernel-cost LRU, solver work, ...); it has no service dependencies and
   lives at the package root;
 * :mod:`repro.persist` -- plan-cache/match-cache snapshots backing warm

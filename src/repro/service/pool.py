@@ -24,8 +24,8 @@ process -- no subprocesses, deterministic, used by tier-1 tests and as the
 builds the default kernel catalog once and keeps the name-abstracted
 cache layers warm across requests: the whole-program cache, the
 whole-plan cache and the signature-keyed match cache.  The memos keyed by
-concrete operand names -- the expression interner, the property-inference
-memo and the kernel-cost LRU of each metric -- are per-request scratch:
+concrete operand names -- the property-inference memo and the
+kernel-cost LRU of each metric -- are per-request scratch:
 every request brings fresh operand names, so no later request would hit
 them, and both executors clear them after each request
 (:meth:`~repro.frontend.compiler.Compiler.clear_name_memos`) to keep a
@@ -337,7 +337,7 @@ def _worker_main(
     session: the session owns the catalog (with its match cache), the plan
     cache and the program cache, the layers that make repeated
     structurally similar requests cheap.  The memos keyed by operand names
-    (interner, inference memo, kernel-cost LRUs) are cleared after each
+    (inference memo, kernel-cost LRUs) are cleared after each
     reply is sent, so they never outlive the request that filled them.
     With a *snapshot_file*, the worker boots warm by loading the
     plan-cache/match-cache snapshot into the fresh session (stale/corrupt

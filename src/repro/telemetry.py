@@ -1,6 +1,6 @@
 """Unified cache telemetry: snapshot, reset and aggregate every cache layer.
 
-The compilation pipeline owns six caches plus the solver work counters,
+The compilation pipeline owns five caches plus the solver work counters,
 each of which exposes the uniform ``stats()`` / ``reset_stats()`` protocol
 (plain dicts with ``size``, ``max_entries``, ``hits``, ``misses``,
 ``hit_rate`` and ``evictions`` for the caches):
@@ -15,9 +15,6 @@ each of which exposes the uniform ``stats()`` / ``reset_stats()`` protocol
 * the **match cache** of a kernel catalog
   (:class:`repro.matching.match_cache.MatchCache`) -- signature-keyed
   kernel-match results;
-* the **expression interner**
-  (:class:`repro.algebra.interning.ExpressionInterner`) -- hash-consing
-  table occupancy;
 * the **inference memo**
   (:class:`repro.algebra.inference.PropertyInference`) -- memoized property
   sets;
@@ -59,7 +56,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 from .algebra.inference import inference_engine
-from .algebra.interning import default_interner
 from .core.gmc import solver_work_telemetry
 from .core.segments import segment_telemetry
 from .cost.metrics import CostMetric
@@ -72,7 +68,6 @@ CACHE_LAYERS = (
     "program_cache",
     "plan_cache",
     "match_cache",
-    "interner",
     "inference",
     "kernel_cost",
     "solver",
@@ -146,7 +141,7 @@ def snapshot(
     under ``per_metric``); *plan_cache* and *program_cache* are the
     session's whole-plan and whole-program caches (each layer reports zeros
     when the caller has none -- both are per-session state, unlike the
-    process-global interner/inference memos).
+    process-global inference memo).
     """
     # Imported lazily: repro.exec pulls in the codegen registry, and the
     # registry's own bootstrap imports repro.exec -- deferring here keeps
@@ -181,7 +176,6 @@ def snapshot(
         "program_cache": program_stats,
         "plan_cache": plan_stats,
         "match_cache": catalog.match_cache.stats(),
-        "interner": default_interner().stats(),
         "inference": inference_engine().stats(),
         "kernel_cost": kernel_cost,
         "solver": solver_work_telemetry().stats(),
@@ -207,7 +201,6 @@ def reset(
     if program_cache is not None:
         program_cache.reset_stats()
     catalog.match_cache.reset_stats()
-    default_interner().reset_stats()
     inference_engine().reset_stats()
     solver_work_telemetry().reset_stats()
     segment_telemetry().reset_stats()

@@ -1,7 +1,7 @@
 """Tests for the uniform cache-stats protocol and bounded eviction policies.
 
-Every cache layer of the pipeline -- expression interner, property-inference
-memo, signature-keyed match cache and kernel-cost LRU -- exposes ``stats()``
+Every cache layer of the pipeline -- property-inference memo,
+signature-keyed match cache and kernel-cost LRU -- exposes ``stats()``
 (plain dict with ``size``/``max_entries``/``hits``/``misses``/``hit_rate``/
 ``evictions``) and ``reset_stats()``, which is what the service telemetry
 aggregates across workers.
@@ -13,7 +13,6 @@ import pytest
 
 from repro.algebra import Matrix, Property
 from repro.algebra.inference import PropertyInference, inference_engine
-from repro.algebra.interning import ExpressionInterner, default_interner
 from repro.algebra.operators import Times
 from repro.cost.metrics import FlopCount
 from repro.core import GMCAlgorithm
@@ -30,13 +29,12 @@ def chain(prefix: str, count: int = 4):
 
 
 class TestUniformProtocol:
-    def test_all_four_layers_speak_the_protocol(self):
+    def test_every_cache_layer_speaks_the_protocol(self):
         catalog = KernelCatalog(build_default_kernels(), name="stats-test")
         metric = FlopCount()
         GMCAlgorithm(CompileOptions(catalog=catalog, metric=metric)).solve(chain("U"))
         layers = [
             catalog.match_cache,
-            default_interner(),
             inference_engine(),
             metric,
         ]
@@ -80,41 +78,6 @@ class TestUniformProtocol:
         assert match["hit_rate"] == pytest.approx(
             match["hits"] / total if total else 0.0
         )
-
-
-class TestInternerEviction:
-    def test_lru_eviction_replaces_wholesale_clear(self):
-        interner = ExpressionInterner(max_entries=4)
-        mats = [Matrix(f"E{i}", 4, 4) for i in range(8)]
-        for mat in mats:
-            interner.intern(mat)
-        # Bounded: never exceeds the cap, evicting one entry at a time.
-        assert len(interner) == 4
-        assert interner.evictions == 4
-        # The most recent entries survive; the oldest were evicted.
-        assert interner.intern(mats[-1]) is mats[-1]
-        assert interner.stats()["evictions"] == 4
-
-    def test_lookup_refreshes_recency(self):
-        interner = ExpressionInterner(max_entries=2)
-        a, b, c = (Matrix(f"R{i}", 4, 4) for i in range(3))
-        interner.intern(a)
-        interner.intern(b)
-        interner.intern(a)  # refresh a; b is now LRU
-        interner.intern(c)  # evicts b
-        assert interner.intern(Matrix("R0", 4, 4)) is a
-        assert interner.intern(Matrix("R1", 4, 4)) is not b
-
-    def test_eviction_keeps_canonicalization_correct(self):
-        interner = ExpressionInterner(max_entries=3)
-        product = Times(Matrix("K0", 4, 4), Matrix("K1", 4, 4))
-        first = interner.intern(product)
-        for index in range(10):  # force eviction churn
-            interner.intern(Matrix(f"K{index + 2}", 4, 4))
-        second = interner.intern(Times(Matrix("K0", 4, 4), Matrix("K1", 4, 4)))
-        # The old representative may have been evicted, but the new one is
-        # structurally equal -- canonicalization degrades, never breaks.
-        assert second == first
 
 
 class TestInferenceMemoEviction:

@@ -262,7 +262,7 @@ class TestCompilerSession:
         compiler = Compiler()
         compiler.compile(SOURCE)
         stats = compiler.cache_stats()
-        for layer in ("match_cache", "interner", "inference", "kernel_cost"):
+        for layer in ("match_cache", "inference", "kernel_cost"):
             assert layer in stats
         compiler.reset_cache_stats()
         assert compiler.cache_stats()["kernel_cost"]["hits"] == 0

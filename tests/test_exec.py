@@ -140,6 +140,21 @@ class TestModuleEmitter:
             namespace[namespace["ENTRYPOINT"]](A=value), value
         )
 
+    @pytest.mark.parametrize("first_operand", ["A", "T1"])
+    def test_module_text_does_not_depend_on_session_history(self, first_operand):
+        # Temporaries take names from a process-global counter; the module
+        # numbers them T1..Tk, skipping names the operands use.
+        source = DAG_SOURCE.replace("A", first_operand)
+        unrelated = "Matrix P (10, 10) <spd>\nMatrix Q (10, 5) <>\nX := P^-1 * Q * Q^T\n"
+        _compile(unrelated)
+        first = _compile(source).emit("module")
+        for _ in range(3):
+            _compile(unrelated)
+        assert _compile(source).emit("module") == first
+        assert f"ARGUMENTS = ('{first_operand}', 'B', 'C')" in first
+        temporary = "T2" if first_operand == "T1" else "T1"
+        assert f"    {temporary} = Y @ C  # {temporary} := Y * C\n" in first
+
 
 class TestPlanSignature:
     def test_stable_across_recompiles(self):

@@ -1,11 +1,9 @@
-"""Tests for the expression identity caches and the hash-consing layer.
+"""Tests for the expression identity caches.
 
 Expressions cache their structural ``_key()`` tuple and hash at construction
-(:meth:`Expression._prime_identity_cache`); the interner maps structurally
-equal expressions onto one canonical object.  These tests pin down the
+(:meth:`Expression._prime_identity_cache`).  These tests pin down the
 invariants the rest of the system relies on: cached identity equals
-recomputed identity, equality/hashing semantics are unchanged, and interned
-construction is referentially transparent.
+recomputed identity, and equality/hashing semantics are unchanged.
 """
 
 from __future__ import annotations
@@ -13,7 +11,6 @@ from __future__ import annotations
 from hypothesis import HealthCheck, given, settings
 
 from repro.algebra import (
-    ExpressionInterner,
     Inverse,
     InverseTranspose,
     Matrix,
@@ -22,9 +19,6 @@ from repro.algebra import (
     Times,
     Transpose,
     Vector,
-    default_interner,
-    intern,
-    interning_disabled,
 )
 from repro.algebra.operators import Plus
 from repro.matching.patterns import Wildcard
@@ -96,57 +90,3 @@ class TestIdentityCaches:
         for node in expression.preorder():
             assert node.structural_key() == node._key()
             assert hash(node) == hash((type(node).__name__, node._key()))
-
-
-class TestInterning:
-    def test_interned_construction_returns_identical_objects(self):
-        interner = ExpressionInterner()
-        a1 = Matrix("A", 8, 8, {Property.SPD})
-        a2 = Matrix("A", 8, 8, {Property.SPD})
-        assert interner.intern(a1) is interner.intern(a2)
-        chain1 = Times(a1, Transpose(a1))
-        chain2 = Times(a2, Transpose(a2))
-        assert interner.intern(chain1) is interner.intern(chain2)
-
-    def test_interned_node_holds_canonical_children(self):
-        interner = ExpressionInterner()
-        a = interner.intern(Matrix("A", 4, 4))
-        b = interner.intern(Matrix("B", 4, 4))
-        product = interner.intern(Times(Matrix("A", 4, 4), Matrix("B", 4, 4)))
-        assert product.children[0] is a
-        assert product.children[1] is b
-
-    def test_interning_preserves_structure_and_text(self):
-        for expr in _sample_expressions():
-            interner = ExpressionInterner()
-            canonical = interner.intern(expr)
-            assert canonical == expr
-            assert str(canonical) == str(expr)
-            assert canonical.shape == expr.shape
-
-    def test_distinct_expressions_stay_distinct(self):
-        interner = ExpressionInterner()
-        a = interner.intern(Matrix("A", 4, 4))
-        b = interner.intern(Matrix("B", 4, 4))
-        assert a is not b
-        assert interner.intern(Times(a, b)) is not interner.intern(Times(b, a))
-
-    def test_module_level_intern_uses_default_interner(self):
-        a = intern(Matrix("InternMe", 3, 3))
-        assert intern(Matrix("InternMe", 3, 3)) is a
-        assert default_interner().intern(Matrix("InternMe", 3, 3)) is a
-
-    def test_interning_disabled_is_identity(self):
-        fresh = Matrix("DisabledCase", 3, 3)
-        with interning_disabled():
-            assert intern(fresh) is fresh
-            other = Matrix("DisabledCase", 3, 3)
-            assert intern(other) is other  # no canonicalization in the scope
-
-    def test_table_reset_keeps_interning_sound(self):
-        interner = ExpressionInterner(max_entries=2)
-        a = interner.intern(Matrix("A", 4, 4))
-        interner.intern(Matrix("B", 4, 4))
-        interner.intern(Matrix("C", 4, 4))  # triggers the wholesale reset
-        again = interner.intern(Matrix("A", 4, 4))
-        assert again == a  # identity may differ after a reset, equality may not

@@ -23,12 +23,13 @@ from repro.algebra import (
     infer_properties,
     infer_properties_legacy,
     inference_engine,
-    intern,
     legacy_inference,
 )
 from repro.algebra.inference import PREDICATES, PropertyInference
 from repro.core import GMCAlgorithm, TopDownGMC
 from repro.experiments.workload import ChainGenerator
+from repro.matching import legacy_binding
+from repro.options import CompileOptions
 from test_property_based import generalized_chains
 
 _SETTINGS = settings(
@@ -59,7 +60,7 @@ class TestPropertySetEquivalence:
         first = infer_properties(expression)
         again = infer_properties(expression)
         assert first == again
-        assert infer_properties(intern(expression)) == first
+        assert infer_properties(expression) == first
 
     def test_workload_chains_match_legacy(self):
         generator = ChainGenerator(
@@ -158,6 +159,39 @@ class TestSolverEquivalence:
                     assert fast_tmp.properties == legacy_tmp.properties, (i, j)
 
 
+    def test_workload_chains_solve_identically_on_the_reference_path(self):
+        # Two seeded chains per length 3..12; the reference runs legacy
+        # inference and legacy binding at once, with match caching and
+        # split pruning off.
+        reference_options = CompileOptions(prune=False, match_cache=False)
+        for length in range(3, 13):
+            generator = ChainGenerator(
+                min_length=length,
+                max_length=length,
+                size_choices=tuple(range(50, 301, 50)),
+                vector_probability=0.10,
+                square_probability=0.40,
+                transpose_probability=0.25,
+                inverse_probability=0.25,
+                property_probability=0.60,
+                seed=2018 + length,
+            )
+            for problem in generator.generate_many(2):
+                fast = GMCAlgorithm().solve(problem.expression)
+                with legacy_inference(), legacy_binding():
+                    reference = GMCAlgorithm(reference_options).solve(
+                        problem.expression
+                    )
+                assert fast.computable == reference.computable, str(problem)
+                if reference.computable:
+                    assert float(fast.optimal_cost) == pytest.approx(
+                        float(reference.optimal_cost), rel=1e-9
+                    ), str(problem)
+                    assert (
+                        fast.parenthesization() == reference.parenthesization()
+                    ), str(problem)
+
+
 class TestMatcherEquivalence:
     """The optimized acceptance path (grouped entries, precomputed slot
     metadata, wildcard-edge pruning) must report exactly the same matches as
@@ -167,7 +201,6 @@ class TestMatcherEquivalence:
     @_SETTINGS
     def test_catalog_matches_identical_under_both_binding_paths(self, expression):
         from repro.kernels import default_catalog
-        from repro.matching import legacy_binding
 
         catalog = default_catalog()
         factors = list(expression.children)
@@ -190,8 +223,6 @@ class TestMatcherEquivalence:
     @given(generalized_chains())
     @_SETTINGS
     def test_gmc_solution_identical_under_legacy_binding(self, expression):
-        from repro.matching import legacy_binding
-
         fast = GMCAlgorithm().solve(expression)
         with legacy_binding():
             reference = GMCAlgorithm().solve(expression)

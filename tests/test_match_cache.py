@@ -11,7 +11,7 @@ import math
 import pytest
 
 from repro.algebra import Matrix, Property, Temporary, Times, Transpose, Vector
-from repro.algebra.inference import PREDICATES, is_lower_triangular
+from repro.algebra.inference import PREDICATES, clear_inference_cache, is_lower_triangular
 from repro.core import GMCAlgorithm
 from repro.core.topdown import TopDownGMC
 from repro.experiments.workload import ChainGenerator
@@ -326,10 +326,37 @@ class TestEndToEndEquivalence:
         # Dead cells materialize no temporary.
         assert solution.tmps[0][1] is None
 
-    def test_repeated_solve_hits_the_cache(self):
+    def test_cold_and_warm_solves_equal_the_uncached_unpruned_path(self):
+        # Two seeded chains per length 3..12.  The cold solve runs on a
+        # fresh catalog (empty match cache) after the inference memo is
+        # cleared; the warm solve repeats it on the same solver.
+        for length in range(3, 13):
+            problems = _random_chains(
+                2, seed=2018 + length, min_length=length, max_length=length
+            )
+            catalog = _fresh_catalog()
+            reference = GMCAlgorithm(
+                CompileOptions(catalog=catalog, prune=False, match_cache=False)
+            )
+            cached = GMCAlgorithm(CompileOptions(catalog=catalog))
+            clear_inference_cache()
+            for problem in problems:
+                cold = cached.solve(problem.expression)
+                warm = cached.solve(problem.expression)
+                want = reference.solve(problem.expression)
+                for got in (cold, warm):
+                    assert got.computable == want.computable, str(problem)
+                    if want.computable:
+                        assert float(got.optimal_cost) == pytest.approx(
+                            float(want.optimal_cost), rel=1e-9
+                        ), str(problem)
+                        assert got.parenthesization() == want.parenthesization()
+
+    @pytest.mark.parametrize("length", [8, 12])
+    def test_repeated_solve_hits_the_cache(self, length):
         catalog = _fresh_catalog()
         algorithm = GMCAlgorithm(CompileOptions(catalog=catalog))
-        problem = _random_chains(1, seed=5, min_length=8, max_length=8)[0]
+        problem = _random_chains(1, seed=5, min_length=length, max_length=length)[0]
         algorithm.solve(problem.expression)
         catalog.match_cache.reset_stats()
         algorithm.solve(problem.expression)

@@ -103,7 +103,7 @@ class TestCustomMetricThroughGMC:
         assert float(first.optimal_cost) == pytest.approx(float(reference.optimal_cost))
         assert first.parenthesization() == reference.parenthesization()
         # A repeated solve reuses the shared kernel-cost memo for every pair
-        # binding the (hash-consed) input factors; only pairs over the fresh
+        # binding the (structurally equal) input factors; only pairs over the fresh
         # temporaries of the second solve are re-evaluated.
         evaluations_after_first = len(calls)
         second = algorithm.solve(chain)

@@ -21,6 +21,8 @@ import urllib.request
 
 import pytest
 
+from repro.core import make_solver
+from repro.experiments.workload import ChainGenerator
 from repro.frontend import compile_source
 from repro.obs import (
     DEFAULT_LATENCY_BUCKETS,
@@ -260,6 +262,29 @@ class TestTracedCompile:
             "dp_fill",
             "diagonal",
         }
+
+    @pytest.mark.parametrize("length", [10, 12])
+    @pytest.mark.parametrize("solver", ["gmc", "topdown"])
+    def test_traced_solve_equals_untraced_and_cleans_up(self, solver, length):
+        problem = ChainGenerator(
+            min_length=length,
+            max_length=length,
+            size_choices=tuple(range(50, 301, 50)),
+            seed=2018 + 31_000 + length,
+        ).generate_many(1)[0]
+        algorithm = make_solver(CompileOptions(solver=solver))
+        untraced = algorithm.solve(problem.expression)
+        attributes = set(vars(algorithm))
+        algorithm.tracer = Tracer()
+        traced = algorithm.solve(problem.expression)
+        algorithm.tracer = None
+        # The traced fill's per-cell timing wrappers must not outlive it.
+        assert set(vars(algorithm)) == attributes
+        again = algorithm.solve(problem.expression)
+        for solution in (traced, again):
+            assert solution.computable == untraced.computable
+            assert solution.optimal_cost == pytest.approx(untraced.optimal_cost)
+            assert solution.parenthesization() == untraced.parenthesization()
 
     def test_untraced_compile_carries_no_tracer(self):
         result = compile_source(DAG_SOURCE)

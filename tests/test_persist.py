@@ -11,6 +11,7 @@ boot, never an exception), the executor warm-boot lifecycle
 
 import json
 import math
+import re
 import urllib.error
 import urllib.request
 
@@ -79,6 +80,19 @@ def random_problems(count, seed, length=7):
         seed=seed,
     )
     return generator.generate_many(count)
+
+
+def problem_source(problem, tag):
+    """*problem* as DSL text with every operand name suffixed by *tag*."""
+    lines = [
+        f"Matrix {operand.name}_{tag} ({operand.rows}, {operand.columns}) "
+        f"<{', '.join(sorted(p.value for p in operand.properties))}>"
+        for operand in problem.operands
+    ]
+    names = sorted((operand.name for operand in problem.operands), key=len, reverse=True)
+    pattern = re.compile(r"\b(" + "|".join(map(re.escape, names)) + r")\b")
+    expression = pattern.sub(rf"\g<1>_{tag}", str(problem.expression))
+    return "\n".join(lines + [f"X := {expression}"]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +433,39 @@ class TestExecutorWarmBoot:
             assert stats["caches"]["program_cache"]["misses"] == 1
             assert stats["caches"]["plan_cache"]["hits"] >= 1
             assert stats["snapshot"]["workers_loaded"] == 1
+
+    def test_worker_pool_warm_boot_answers_a_renamed_batch(self, tmp_path):
+        # Eight distinct chains compiled cold by a two-worker pool; the
+        # restarted pool serves renamed copies from the merged snapshot.
+        problems = random_problems(8, seed=2018 + 11_000, length=8)
+        reference_session = fresh_session(plan_cache=False)
+        references = [
+            list(
+                reference_session.compile(problem_source(problem, "ref"))
+                .assignments[0]
+                .kernel_sequence
+            )
+            for problem in problems
+        ]
+
+        def batch(tag):
+            return [
+                CompileRequest(source=problem_source(problem, tag))
+                for problem in problems
+            ]
+
+        with WorkerPool(workers=2, snapshot_dir=tmp_path) as pool:
+            cold = pool.compile_batch(batch("cold"))
+        with WorkerPool(workers=2, snapshot_dir=tmp_path) as restarted:
+            restarted.reset_stats()
+            warm = restarted.compile_batch(batch("warm"))
+            stats = restarted.stats()
+        for responses in (cold, warm):
+            assert [response.assignments[0].kernels for response in responses] == (
+                references
+            )
+        assert stats["snapshot"]["workers_loaded"] == 2
+        assert stats["caches"]["plan_cache"]["hit_rate"] >= 0.9
 
     def test_save_snapshot_requires_configuration(self):
         executor = InProcessExecutor()

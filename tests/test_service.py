@@ -183,7 +183,6 @@ class TestInProcessExecutor:
                 "program_cache",
                 "plan_cache",
                 "match_cache",
-                "interner",
                 "inference",
                 "kernel_cost",
             ):
@@ -415,7 +414,8 @@ EXECUTOR_MODELS = pytest.mark.parametrize(
 
 @EXECUTOR_MODELS
 def test_name_keyed_memos_do_not_grow_across_requests(make_executor, models):
-    memos = ("interner", "inference", "kernel_cost")
+    memos = ("inference", "kernel_cost")
+    served = {}
     with make_executor() as executor:
         executor.reset_stats()
         sizes = {}
@@ -423,7 +423,9 @@ def test_name_keyed_memos_do_not_grow_across_requests(make_executor, models):
             # Every request misses the program cache, so each one is
             # parsed, decomposed and rebound and fills the memos afresh.
             source = _own_targets(model.source, index)
-            assert executor.submit(CompileRequest(source=source)).ok
+            response = executor.submit(CompileRequest(source=source))
+            assert response.ok
+            served[source] = [a.kernels for a in response.assignments]
             if index in (5, 30):
                 caches = executor.stats()["caches"]
                 sizes[index] = {memo: caches[memo]["size"] for memo in memos}
@@ -434,6 +436,11 @@ def test_name_keyed_memos_do_not_grow_across_requests(make_executor, models):
     assert caches["program_cache"]["misses"] == 30
     # Warmth across requests lives in the name-abstracted plan cache.
     assert caches["plan_cache"]["hit_rate"] == pytest.approx(JACOBIAN_PLAN_HIT_RATE)
+    # Plan-cache hits must equal a plan-cache-disabled compile.
+    uncached = CompileOptions(plan_cache=False)
+    for source, kernels in served.items():
+        reference = compile_source(source, options=uncached)
+        assert kernels == [a.kernel_sequence for a in reference.assignments]
 
 
 @EXECUTOR_MODELS
