@@ -305,6 +305,8 @@ class Matrix(Expression):
         object.__setattr__(self, "_columns", int(columns))
         object.__setattr__(self, "properties", frozenset(closed))
         self._prime_identity_cache()
+        if name[0] == "T" and name[1:].isdigit():
+            Temporary._claim(int(name[1:]))
 
     def __setattr__(self, key: str, value: object) -> None:  # pragma: no cover
         raise AttributeError("Matrix instances are immutable")
@@ -380,11 +382,19 @@ class Temporary(Matrix):
     (paper Fig. 4, line 9: ``create_tmp``).  A temporary behaves exactly like
     a matrix but remembers which sub-expression it stands for, which is
     useful for debugging and for emitting comments in generated code.
+
+    Names come from one process-global counter, ``T1, T2, ...``.  Any
+    other matrix named ``T<k>`` claims *k* when it is built, and the
+    counter skips claimed numbers, so a temporary never takes the name of
+    an operand (or assignment target) declared before it.
     """
 
     __slots__ = ("origin",)
 
     _counter = itertools.count(1)
+    #: The last number minted, and the claimed numbers not yet reached.
+    _minted = 0
+    _claimed: set = set()
 
     def __init__(
         self,
@@ -395,7 +405,7 @@ class Temporary(Matrix):
         name: Optional[str] = None,
     ) -> None:
         if name is None:
-            name = f"T{next(Temporary._counter)}"
+            name = f"T{Temporary._mint()}"
         super().__init__(name, rows, columns, properties)
         object.__setattr__(self, "origin", origin)
 
@@ -404,10 +414,30 @@ class Temporary(Matrix):
         # expression is metadata and deliberately excluded.
         return (self.name, self.rows, self.columns, self.properties)
 
+    @staticmethod
+    def _mint() -> int:
+        claimed = Temporary._claimed
+        number = next(Temporary._counter)
+        while number in claimed:
+            # The counter never comes back, so the claim is spent.
+            claimed.discard(number)
+            number = next(Temporary._counter)
+        Temporary._minted = number
+        return number
+
+    @staticmethod
+    def _claim(number: int) -> None:
+        # Numbers at or below the last minted one are behind the counter
+        # (a minted temporary's own number lands here too).
+        if number > Temporary._minted:
+            Temporary._claimed.add(number)
+
     @classmethod
     def reset_counter(cls) -> None:
         """Reset the global naming counter (used by tests for determinism)."""
         cls._counter = itertools.count(1)
+        cls._minted = 0
+        cls._claimed = set()
 
 
 class Reference(Matrix):

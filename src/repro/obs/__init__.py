@@ -5,13 +5,14 @@ Six stdlib-only modules, threaded through every layer of the pipeline:
 * :mod:`repro.obs.trace` -- opt-in span trees for one compilation
   (``CompileOptions(trace=True)``), exportable as raw JSON or Chrome
   trace-event JSON (Perfetto-loadable), tagged with the service request id;
-* :mod:`repro.obs.metrics` -- counters, fixed-bucket latency histograms and
-  the Prometheus text exposition behind ``GET /metrics``;
+* :mod:`repro.obs.metrics` -- the Prometheus text exposition behind
+  ``GET /metrics``: telemetry-layer gauges and one ``summary`` per
+  latency series;
 * :mod:`repro.obs.analytics` -- mergeable streaming sketches over service
   traffic: Space-Saving heavy hitters over request signatures
-  (``GET /analytics``), DDSketch-style latency quantiles
-  (``repro_*_latency{quantile=...}`` on ``/metrics``) and wall-clock
-  aligned counter rings (``GET /timeseries``);
+  (``GET /analytics``), DDSketch-style latency quantiles (the service's
+  one latency instrument, behind the ``/metrics`` summaries) and
+  wall-clock aligned counter rings (``GET /timeseries``);
 * :mod:`repro.obs.profile` -- opt-in per-request ``cProfile`` deep
   profiles (``CompileOptions(profile=True)`` / ``POST /profile``), with
   ``flamegraph.pl``-compatible collapsed-stack output;
@@ -36,7 +37,6 @@ from .analytics import (
     analytics_enabled,
     analytics_report,
     merge_analytics_states,
-    render_quantile_lines,
     service_analytics,
     set_analytics_enabled,
     timeseries_report,
@@ -50,25 +50,13 @@ from .logging import (
     get_logger,
     log_rate_limited,
 )
-from .metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    Counter,
-    Histogram,
-    MetricsRegistry,
-    render_prometheus,
-    reset_service_metrics,
-    service_metrics,
-)
+from .metrics import render_prometheus
 from .profile import collapsed_stacks, profile_call, profile_payload, top_functions
 from .trace import Span, Tracer
 
 __all__ = [
-    "Counter",
     "CounterRing",
-    "DEFAULT_LATENCY_BUCKETS",
-    "Histogram",
     "JsonFormatter",
-    "MetricsRegistry",
     "QuantileSketch",
     "Span",
     "SpaceSavingSketch",
@@ -89,10 +77,7 @@ __all__ = [
     "profile_payload",
     "provenance_of",
     "render_prometheus",
-    "render_quantile_lines",
-    "reset_service_metrics",
     "service_analytics",
-    "service_metrics",
     "set_analytics_enabled",
     "timeseries_report",
     "top_functions",

@@ -16,8 +16,9 @@ layer) exactly like :mod:`repro.persist.snapshot` merges cache state:
   sketch in the DDSketch family: bucket ``i`` covers
   ``(gamma^(i-1), gamma^i]`` with ``gamma = (1+alpha)/(1-alpha)``, so any
   reported quantile is within relative error *alpha* of the true value and
-  two sketches merge by bucket-wise addition.  Rendered as
-  ``repro_*_latency{quantile="0.5|0.95|0.99"}`` gauges on ``/metrics``.
+  two sketches merge by bucket-wise addition.  It is the service's only
+  latency instrument: :mod:`repro.obs.metrics` renders each latency
+  series as a ``repro_*_latency_seconds`` summary on ``/metrics``.
 * :class:`CounterRing` -- a wall-clock-aligned ring of counter slots
   (configurable resolution/retention) behind ``GET /timeseries``.  Slots
   are keyed by the **absolute** slot index ``int(now / resolution)``, so
@@ -27,8 +28,9 @@ layer) exactly like :mod:`repro.persist.snapshot` merges cache state:
 process-global instances exist per process: :func:`workload_analytics`
 (the worker-side view, recorded at ``execute_request`` time and shipped
 inside the telemetry snapshot) and :func:`service_analytics` (the HTTP
-front-end's endpoint latencies and 429/validation-failure rings, which
-must not double-count when the executor runs in-process).
+front-end's endpoint and ``/execute`` phase latencies and its
+429/validation-failure rings, which must not double-count when the
+executor runs in-process).
 
 The layer is always-on but cheap: a served request is one deque append,
 folded into the sketches in batches of :data:`RECORD_BATCH` (and before
@@ -47,8 +49,6 @@ from collections import deque
 from contextlib import contextmanager
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .metrics import escape_label_value, format_value, sanitize_metric_name
-
 __all__ = [
     "SpaceSavingSketch",
     "QuantileSketch",
@@ -62,7 +62,6 @@ __all__ = [
     "merge_analytics_states",
     "analytics_report",
     "timeseries_report",
-    "render_quantile_lines",
 ]
 
 #: Default bound on tracked heavy-hitter entries (error <= N/capacity).
@@ -732,47 +731,3 @@ def timeseries_report(state: Mapping) -> Dict[str, Any]:
         slots = ring.slots
         series[key] = ring.points()
     return {"resolution_s": resolution, "slots": slots, "series": series}
-
-
-def render_quantile_lines(
-    states: Sequence[Optional[Mapping]],
-    prefix: str = "repro",
-    quantiles: Sequence[float] = (0.5, 0.95, 0.99),
-) -> str:
-    """Prometheus summary-style quantile gauges for ``GET /metrics``.
-
-    Merges the latency sketches of the given analytics states and renders
-    one contiguous sample block per metric name::
-
-        repro_endpoint_latency_seconds{endpoint="/compile",quantile="0.5"} 0.0021
-
-    Returns ``""`` when no sketch has samples (so the caller can append
-    the result to an exposition body unconditionally).
-    """
-    merged = merge_analytics_states([s for s in states if isinstance(s, Mapping)])
-    by_name: Dict[str, List[Tuple[str, str, QuantileSketch]]] = {}
-    for entry in merged.get("latency") or ():
-        sketch = QuantileSketch.from_state(entry["sketch"])
-        if sketch.count == 0:
-            continue
-        by_name.setdefault(entry["name"], []).append(
-            (entry["label"], str(entry["value"]), sketch)
-        )
-    lines: List[str] = []
-    for name in sorted(by_name):
-        metric = f"{prefix}_{sanitize_metric_name(name)}"
-        lines.append(f"# HELP {metric} mergeable streaming quantiles (DDSketch-style)")
-        lines.append(f"# TYPE {metric} gauge")
-        for label_key, label_value, sketch in sorted(
-            by_name[name], key=lambda item: item[1]
-        ):
-            label = f'{sanitize_metric_name(label_key)}="{escape_label_value(label_value)}"'
-            for q in quantiles:
-                value = sketch.quantile(q)
-                lines.append(
-                    f'{metric}{{{label},quantile="{q:g}"}} {format_value(value)}'
-                )
-            lines.append(
-                f'{metric}_count{{{label}}} {format_value(float(sketch.count))}'
-            )
-    return "\n".join(lines) + "\n" if lines else ""

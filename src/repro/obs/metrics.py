@@ -1,56 +1,33 @@
-"""Stdlib-only service metrics: counters, latency histograms, Prometheus text.
+"""Prometheus text exposition of the service's telemetry and latencies.
 
-The service's ``GET /metrics`` endpoint renders two sources in the
-Prometheus text exposition format (version 0.0.4):
+The service's ``GET /metrics`` endpoint renders, in one
+:func:`render_prometheus` call, the Prometheus text exposition format
+(version 0.0.4) of:
 
-* the seven uniform cache-telemetry layers (:mod:`repro.telemetry`) pooled
+* the service gauges (worker count, ``repro_pool_*`` pool counters);
+* the nine uniform telemetry layers (:mod:`repro.telemetry`) pooled
   across workers -- every numeric counter becomes a
   ``repro_<key>{layer="<layer>"}`` gauge sample;
-* fixed-bucket latency histograms maintained by the HTTP tier, one per
-  endpoint, rendered with the standard ``_bucket``/``_sum``/``_count``
-  triple and cumulative ``le`` buckets ending in ``+Inf``.
+* the latency series, one ``summary`` per metric name, from the mergeable
+  quantile sketches of :mod:`repro.obs.analytics` (pooled across workers
+  and the HTTP front-end): ``quantile="0.5|0.95|0.99"`` samples plus
+  ``_sum`` and ``_count``.
 
-Everything here is plain stdlib (a few dicts and a lock); no client
-library is required to scrape it -- ``curl host:port/metrics`` works.
+Everything here is plain stdlib; no client library is required to scrape
+it -- ``curl host:port/metrics`` works.
 """
 
 from __future__ import annotations
 
 import re
-import threading
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-__all__ = [
-    "DEFAULT_LATENCY_BUCKETS",
-    "Counter",
-    "Histogram",
-    "MetricsRegistry",
-    "render_prometheus",
-    "service_metrics",
-    "reset_service_metrics",
-]
+from .analytics import QuantileSketch, merge_analytics_states
 
-#: Default latency bucket upper bounds, in seconds.  Chain solves span
-#: microseconds (plan-cache hits) to seconds (long cold chains), so the
-#: buckets cover five decades.
-DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
-    0.0001,
-    0.00025,
-    0.0005,
-    0.001,
-    0.0025,
-    0.005,
-    0.01,
-    0.025,
-    0.05,
-    0.1,
-    0.25,
-    0.5,
-    1.0,
-    2.5,
-    5.0,
-    10.0,
-)
+__all__ = ["render_prometheus"]
+
+#: The quantiles every latency summary reports.
+SUMMARY_QUANTILES = (0.5, 0.95, 0.99)
 
 _NAME_OK = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _NAME_BAD_CHARS = re.compile(r"[^a-zA-Z0-9_:]")
@@ -99,207 +76,6 @@ def format_value(value: float) -> str:
     return repr(as_float)
 
 
-class Counter:
-    """A monotonically increasing counter (thread-safe)."""
-
-    __slots__ = ("name", "help", "_lock", "_values")
-
-    def __init__(self, name: str, help_text: str = "") -> None:
-        self.name = sanitize_metric_name(name)
-        self.help = help_text
-        self._lock = threading.Lock()
-        self._values: Dict[Tuple[Tuple[str, str], ...], float] = {}
-
-    def inc(self, amount: float = 1.0, **labels: str) -> None:
-        key = tuple(sorted((k, str(v)) for k, v in labels.items()))
-        with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + amount
-
-    def value(self, **labels: str) -> float:
-        key = tuple(sorted((k, str(v)) for k, v in labels.items()))
-        with self._lock:
-            return self._values.get(key, 0.0)
-
-    def render(self) -> List[str]:
-        with self._lock:
-            items = sorted(self._values.items())
-        lines = [
-            f"# HELP {self.name} {self.help}" if self.help else f"# HELP {self.name}",
-            f"# TYPE {self.name} counter",
-        ]
-        for key, value in items:
-            lines.append(f"{self.name}{format_labels(dict(key))} {format_value(value)}")
-        return lines
-
-
-class Histogram:
-    """A fixed-bucket histogram in the Prometheus cumulative style.
-
-    ``observe(v)`` increments the first bucket whose upper bound is
-    ``>= v`` (non-cumulative storage); rendering and :meth:`snapshot`
-    produce the *cumulative* counts Prometheus expects, so bucket counts
-    are monotonically non-decreasing by construction.
-    """
-
-    __slots__ = ("buckets", "_counts", "_sum", "_count", "_lock")
-
-    def __init__(self, buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS) -> None:
-        bounds = tuple(sorted(float(b) for b in buckets))
-        if not bounds:
-            raise ValueError("histogram needs at least one bucket bound")
-        if len(set(bounds)) != len(bounds):
-            raise ValueError(f"duplicate bucket bounds: {bounds}")
-        self.buckets = bounds
-        self._counts = [0] * (len(bounds) + 1)  # +1: the +Inf overflow bucket
-        self._sum = 0.0
-        self._count = 0
-        self._lock = threading.Lock()
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        index = len(self.buckets)
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                index = i
-                break
-        with self._lock:
-            self._counts[index] += 1
-            self._sum += value
-            self._count += 1
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    @property
-    def sum(self) -> float:
-        return self._sum
-
-    def snapshot(self) -> Dict[str, object]:
-        """Cumulative bucket counts plus sum/count, as plain data."""
-        with self._lock:
-            counts = list(self._counts)
-            total_sum = self._sum
-            total = self._count
-        cumulative: List[Tuple[float, int]] = []
-        running = 0
-        for bound, bucket_count in zip(self.buckets, counts):
-            running += bucket_count
-            cumulative.append((bound, running))
-        return {
-            "buckets": cumulative,  # [(upper_bound_s, cumulative_count), ...]
-            "sum": total_sum,
-            "count": total,
-        }
-
-
-class MetricsRegistry:
-    """Process-local registry of labelled histograms (and counters).
-
-    The HTTP tier records one observation per request into
-    ``request_latency_seconds{endpoint=...}``; tests and the ``/metrics``
-    renderer read it back through :meth:`render`.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._histograms: Dict[Tuple[str, Tuple[Tuple[str, str], ...]], Histogram] = {}
-        self._help: Dict[str, str] = {}
-        self._counters: Dict[str, Counter] = {}
-
-    def histogram(
-        self,
-        name: str,
-        buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
-        help_text: str = "",
-        **labels: str,
-    ) -> Histogram:
-        name = sanitize_metric_name(name)
-        key = (name, tuple(sorted((k, str(v)) for k, v in labels.items())))
-        with self._lock:
-            histogram = self._histograms.get(key)
-            if histogram is None:
-                histogram = self._histograms[key] = Histogram(buckets)
-            if help_text:
-                self._help.setdefault(name, help_text)
-        return histogram
-
-    def counter(self, name: str, help_text: str = "") -> Counter:
-        name = sanitize_metric_name(name)
-        with self._lock:
-            counter = self._counters.get(name)
-            if counter is None:
-                counter = self._counters[name] = Counter(name, help_text)
-        return counter
-
-    def observe(self, name: str, value: float, **labels: str) -> None:
-        self.histogram(name, **labels).observe(value)
-
-    def render(self) -> List[str]:
-        """Exposition lines for everything registered (grouped per metric)."""
-        with self._lock:
-            histograms = sorted(self._histograms.items())
-            help_texts = dict(self._help)
-            counters = sorted(self._counters.items())
-        lines: List[str] = []
-        for _, counter in counters:
-            lines.extend(counter.render())
-        by_name: Dict[str, List[Tuple[Tuple[Tuple[str, str], ...], Histogram]]] = {}
-        for (name, label_key), histogram in histograms:
-            by_name.setdefault(name, []).append((label_key, histogram))
-        for name, entries in sorted(by_name.items()):
-            help_text = help_texts.get(name, "")
-            lines.append(f"# HELP {name} {help_text}".rstrip())
-            lines.append(f"# TYPE {name} histogram")
-            for label_key, histogram in entries:
-                labels = dict(label_key)
-                snap = histogram.snapshot()
-                for bound, cumulative in snap["buckets"]:
-                    bucket_labels = dict(labels)
-                    bucket_labels["le"] = format_value(bound)
-                    lines.append(
-                        f"{name}_bucket{format_labels(bucket_labels)} {cumulative}"
-                    )
-                inf_labels = dict(labels)
-                inf_labels["le"] = "+Inf"
-                lines.append(
-                    f"{name}_bucket{format_labels(inf_labels)} {snap['count']}"
-                )
-                lines.append(
-                    f"{name}_sum{format_labels(labels)} {format_value(snap['sum'])}"
-                )
-                lines.append(f"{name}_count{format_labels(labels)} {snap['count']}")
-        return lines
-
-    def reset(self) -> None:
-        with self._lock:
-            self._histograms.clear()
-            self._counters.clear()
-            self._help.clear()
-
-
-# The process-global registry the HTTP tier records into.  One per process
-# is the right scope: the HTTP server (and its latency) lives in the front
-# process regardless of how many worker processes sit behind it.
-_SERVICE_METRICS: Optional[MetricsRegistry] = None
-_SERVICE_METRICS_LOCK = threading.Lock()
-
-
-def service_metrics() -> MetricsRegistry:
-    """The process-global registry of service metrics (lazily created)."""
-    global _SERVICE_METRICS
-    if _SERVICE_METRICS is None:
-        with _SERVICE_METRICS_LOCK:
-            if _SERVICE_METRICS is None:
-                _SERVICE_METRICS = MetricsRegistry()
-    return _SERVICE_METRICS
-
-
-def reset_service_metrics() -> None:
-    """Drop all recorded service metrics (test isolation)."""
-    service_metrics().reset()
-
-
 def _telemetry_lines(
     layers: Mapping[str, Mapping[str, object]], prefix: str
 ) -> List[str]:
@@ -310,8 +86,6 @@ def _telemetry_lines(
     """
     by_metric: Dict[str, List[Tuple[str, float]]] = {}
     for layer, stats in sorted(layers.items()):
-        if not isinstance(stats, Mapping):
-            continue
         for key, value in sorted(stats.items()):
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 continue
@@ -328,43 +102,71 @@ def _telemetry_lines(
     return lines
 
 
+def _summary_lines(
+    latency_states: Iterable[Optional[Mapping]], prefix: str
+) -> List[str]:
+    """One ``summary`` family per latency metric name.
+
+    Merges the latency sketches of the given analytics states; a family
+    renders each label value's quantile samples followed by its ``_sum``
+    and ``_count``::
+
+        repro_endpoint_latency_seconds{endpoint="/compile",quantile="0.5"} 0.0021
+        repro_endpoint_latency_seconds_sum{endpoint="/compile"} 0.0105
+        repro_endpoint_latency_seconds_count{endpoint="/compile"} 5
+    """
+    merged = merge_analytics_states(latency_states)
+    by_name: Dict[str, List[Tuple[str, str, QuantileSketch]]] = {}
+    for entry in merged.get("latency") or ():
+        sketch = QuantileSketch.from_state(entry["sketch"])
+        if sketch.count:
+            by_name.setdefault(entry["name"], []).append(
+                (entry["label"], str(entry["value"]), sketch)
+            )
+    lines: List[str] = []
+    for name, series in sorted(by_name.items()):
+        metric = f"{prefix}_{sanitize_metric_name(name)}"
+        lines.append(f"# HELP {metric} latency in seconds (mergeable quantile sketch)")
+        lines.append(f"# TYPE {metric} summary")
+        for label_key, label_value, sketch in sorted(series, key=lambda s: s[1]):
+            labels = {label_key: label_value}
+            for q in SUMMARY_QUANTILES:
+                quantile = format_labels({**labels, "quantile": f"{q:g}"})
+                lines.append(f"{metric}{quantile} {format_value(sketch.quantile(q))}")
+            lines.append(f"{metric}_sum{format_labels(labels)} {format_value(sketch.sum)}")
+            lines.append(f"{metric}_count{format_labels(labels)} {sketch.count}")
+    return lines
+
+
 def render_prometheus(
     cache_layers: Optional[Mapping[str, Mapping[str, object]]] = None,
-    registry: Optional[MetricsRegistry] = None,
     extra_gauges: Optional[Mapping[str, float]] = None,
+    latency_states: Sequence[Optional[Mapping]] = (),
     prefix: str = "repro",
 ) -> str:
-    """The full ``/metrics`` body: telemetry layers + registry + gauges.
+    """The full ``/metrics`` body: gauges, telemetry layers, latencies.
 
     *cache_layers* is the pooled per-layer dict of ``executor.stats()``
-    (the ``"caches"`` entry; the synthetic ``"workers"`` count renders as a
-    standalone gauge).  Returns text ending in a newline, as the
-    exposition format requires.
+    (the ``"caches"`` entry; scalar entries render as standalone gauges,
+    like *extra_gauges*).  *latency_states* are analytics states
+    (``WorkloadAnalytics.state()``) whose latency sketches merge into the
+    summaries.  Returns text ending in a newline, as the exposition
+    format requires.
     """
+    cache_layers = cache_layers or {}
+    gauges = dict(extra_gauges or {})
+    layers = {}
+    for name, value in cache_layers.items():
+        if isinstance(value, Mapping):
+            layers[name] = value
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            gauges[name] = value
     lines: List[str] = []
-    if extra_gauges:
-        for name, value in sorted(extra_gauges.items()):
-            metric = f"{prefix}_{sanitize_metric_name(name)}"
-            lines.append(f"# HELP {metric} repro service gauge")
-            lines.append(f"# TYPE {metric} gauge")
-            lines.append(f"{metric} {format_value(value)}")
-    if cache_layers:
-        layers = {
-            name: stats
-            for name, stats in cache_layers.items()
-            if isinstance(stats, Mapping)
-        }
-        scalars = {
-            name: value
-            for name, value in cache_layers.items()
-            if isinstance(value, (int, float)) and not isinstance(value, bool)
-        }
-        for name, value in sorted(scalars.items()):
-            metric = f"{prefix}_{sanitize_metric_name(name)}"
-            lines.append(f"# HELP {metric} repro service gauge")
-            lines.append(f"# TYPE {metric} gauge")
-            lines.append(f"{metric} {format_value(value)}")
-        lines.extend(_telemetry_lines(layers, prefix))
-    if registry is not None:
-        lines.extend(registry.render())
+    for name, value in sorted(gauges.items()):
+        metric = f"{prefix}_{sanitize_metric_name(name)}"
+        lines.append(f"# HELP {metric} repro service gauge")
+        lines.append(f"# TYPE {metric} gauge")
+        lines.append(f"{metric} {format_value(value)}")
+    lines.extend(_telemetry_lines(layers, prefix))
+    lines.extend(_summary_lines(latency_states, prefix))
     return "\n".join(lines) + "\n"

@@ -27,9 +27,9 @@ Endpoints (all JSON):
     :class:`~repro.exec.api.ExecuteResponse` dict on success; 400 with the
     full ``ok=False`` response (its ``phase`` names the failing stage) on
     compile/run/validation failure.  Per-phase latencies land in the
-    ``repro_execute_phase_seconds`` histogram on ``/metrics``; validation
-    failures increment ``repro_execute_validation_failures`` and emit one
-    structured warning line.
+    ``repro_execute_phase_latency_seconds`` summary on ``/metrics``;
+    validation failures count in ``repro_validation_failures{layer=
+    "execution"}`` and emit one structured warning line.
 ``POST /profile``
     body: a ``/compile`` request dict; profiling is forced on
     (``options.profile = true``) and the response is ``text/plain``
@@ -45,12 +45,13 @@ Endpoints (all JSON):
     hit rates, occupancy and eviction counts, per worker and fleet-wide.
 ``GET /metrics``
     Prometheus text exposition (scrape with any Prometheus-compatible
-    agent, or plain ``curl``): every pooled cache-telemetry layer as
+    agent, or plain ``curl``): every pooled telemetry layer as
     ``repro_<counter>{layer=...}`` gauges, the pool counters as
-    ``repro_pool_*`` gauges and the per-endpoint request-latency
-    histograms (``repro_request_latency_seconds``), plus streaming
-    quantile series (``repro_*_latency_seconds{quantile="0.5|0.95|0.99"}``)
-    rendered from the mergeable analytics sketches.
+    ``repro_pool_*`` gauges, and one ``summary`` per latency series
+    (``repro_endpoint_latency_seconds{endpoint}``,
+    ``repro_compile_phase_latency_seconds{phase}``,
+    ``repro_execute_phase_latency_seconds{phase}``) rendered from the
+    mergeable analytics sketches, pooled across workers.
 ``GET /analytics``
     workload analytics (:mod:`repro.obs.analytics`): top-k heavy-hitter
     request signatures (Space-Saving sketch, merged across pool workers)
@@ -99,12 +100,11 @@ from ..obs.analytics import (
     analytics_enabled,
     analytics_report,
     merge_analytics_states,
-    render_quantile_lines,
     service_analytics,
     timeseries_report,
 )
 from ..obs.logging import get_logger, log_rate_limited
-from ..obs.metrics import render_prometheus, service_metrics
+from ..obs.metrics import render_prometheus
 from .api import CompileRequest, RequestError
 from .pool import PoolSaturatedError
 
@@ -114,7 +114,7 @@ __all__ = ["ServiceHTTPServer", "start_server", "run_server"]
 #: against unbounded reads; far above any realistic chain spec).
 MAX_BODY_BYTES = 8 * 1024 * 1024
 
-#: Endpoints that get their own latency-histogram label; anything else is
+#: Endpoints that get their own latency-series label; anything else is
 #: pooled under ``other`` so unknown paths cannot grow label cardinality.
 _KNOWN_ENDPOINTS = frozenset(
     {
@@ -222,7 +222,7 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
 
         Every response echoes an ``X-Request-Id`` header (the client's, when
         supplied; a fresh one otherwise); every request lands one
-        observation in the per-endpoint latency histogram ``/metrics``
+        observation in the per-endpoint latency sketch ``/metrics``
         renders and one structured access-log line.
         """
         started = time.perf_counter()
@@ -237,15 +237,7 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         finally:
             elapsed = time.perf_counter() - started
             endpoint = path if path in _KNOWN_ENDPOINTS else "other"
-            service_metrics().histogram(
-                "repro_request_latency_seconds",
-                help_text="HTTP request latency by endpoint, in seconds",
-                endpoint=endpoint,
-                method=method,
-            ).observe(elapsed)
             if analytics_enabled():
-                # The quantile-sketch twin of the histogram above: true
-                # p50/p95/p99 per endpoint rather than bucket edges.
                 service_analytics().observe_latency(
                     "endpoint_latency_seconds", "endpoint", endpoint, elapsed
                 )
@@ -297,52 +289,35 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
 
     def _render_metrics(self, executor) -> str:
         """The ``GET /metrics`` body: Prometheus text exposition of the
-        pooled cache-telemetry layers, the pool counters, the HTTP latency
-        histograms and the streaming-quantile latency series."""
+        pooled telemetry layers, the pool counters and the latency
+        summaries of the workers and this front-end."""
         stats = executor.stats()
+        caches = stats.get("caches") or {}
         gauges = {"service_workers": stats.get("workers", 0)}
         for key, value in (stats.get("pool") or {}).items():
             if isinstance(value, (int, float)) and not isinstance(value, bool):
                 gauges[f"pool_{key}"] = value
-        body = render_prometheus(
-            cache_layers=stats.get("caches") or {},
-            registry=service_metrics(),
+        return render_prometheus(
+            cache_layers=caches,
             extra_gauges=gauges,
-        )
-        # Quantile gauges use metric names of their own, so appending
-        # keeps every metric's samples contiguous as the format requires.
-        return body + render_quantile_lines(
-            [
-                (stats.get("caches") or {}).get("analytics"),
-                service_analytics().state(),
-            ]
+            latency_states=[caches.get("analytics"), service_analytics().state()],
         )
 
     def _observe_execution(self, response) -> None:
-        """Per-phase latency histograms and validation-failure accounting
-        for one ``/execute`` response."""
-        metrics = service_metrics()
-        for key, elapsed in (response.timing or {}).items():
-            if not key.endswith("_s"):
-                continue
-            metrics.histogram(
-                "repro_execute_phase_seconds",
-                help_text="POST /execute latency by phase, in seconds",
-                phase=key[:-2],
-            ).observe(elapsed)
-            if analytics_enabled():
-                service_analytics().observe_latency(
-                    "execute_phase_latency_seconds", "phase", key[:-2], elapsed
-                )
-        # Touched on every execute (not just failures) so the exposition
-        # shows an explicit zero sample before the first divergence.
-        failures = metrics.counter(
-            "repro_execute_validation_failures",
-            help_text="Executions whose result diverged from the reference",
-        )
-        failures.inc(0.0)
+        """Per-phase latency sketches and the validation-failure series for
+        one ``/execute`` response (the failure count itself is the
+        ``execution`` telemetry layer's ``validation_failures``)."""
+        if analytics_enabled():
+            service_analytics().observe_latencies(
+                "execute_phase_latency_seconds",
+                "phase",
+                [
+                    (key[:-2], elapsed)
+                    for key, elapsed in (response.timing or {}).items()
+                    if key.endswith("_s")
+                ],
+            )
         if response.validated is False:
-            failures.inc()
             if analytics_enabled():
                 service_analytics().record_point("validation_failures")
             # Token-bucket suppressed: a replayed divergent request must

@@ -10,7 +10,7 @@ Covers the PR 10 acceptance criteria:
   plan-hit provenance, and the state travels across the worker-pool
   process boundary through the existing telemetry ``stats`` path;
 * the HTTP front-end serves ``GET /analytics``, ``GET /timeseries``,
-  quantile gauge series on ``GET /metrics`` and collapsed flamegraph
+  latency summaries on ``GET /metrics`` and collapsed flamegraph
   stacks on ``POST /profile``;
 * profiling hooks (``options.profile`` / ``repro.obs.profile``) return
   top-function tables and ``flamegraph.pl``-compatible collapsed stacks;
@@ -30,7 +30,6 @@ import urllib.request
 
 import pytest
 
-from repro.obs import reset_service_metrics
 from repro.obs.analytics import (
     RECORD_BATCH,
     CounterRing,
@@ -41,7 +40,6 @@ from repro.obs.analytics import (
     analytics_enabled,
     analytics_report,
     merge_analytics_states,
-    render_quantile_lines,
     service_analytics,
     timeseries_report,
     workload_analytics,
@@ -52,6 +50,7 @@ from repro.obs.logging import (
     get_logger,
     log_rate_limited,
 )
+from repro.obs.metrics import render_prometheus
 from repro.obs.profile import (
     collapsed_stacks,
     profile_call,
@@ -460,7 +459,6 @@ class TestPoolMerging:
 
 @pytest.fixture(scope="class")
 def analytics_service():
-    reset_service_metrics()
     workload_analytics().reset()
     service_analytics().reset()
     executor = InProcessExecutor()
@@ -470,7 +468,6 @@ def analytics_service():
     server.shutdown()
     thread.join(timeout=5.0)
     executor.close()
-    reset_service_metrics()
     workload_analytics().reset()
     service_analytics().reset()
 
@@ -686,19 +683,20 @@ class TestTraceRequestId:
 
 
 # ---------------------------------------------------------------------------
-# Prometheus rendering of quantile series
+# Prometheus latency summaries
 # ---------------------------------------------------------------------------
 
-class TestRenderQuantileLines:
-    def test_renders_gauge_blocks_with_counts(self):
+class TestLatencySummaries:
+    def test_renders_summary_blocks_with_sum_and_count(self):
         analytics = WorkloadAnalytics()
         for value in (0.01, 0.02, 0.03):
             analytics.observe_latency("endpoint_latency_seconds", "endpoint", "/compile", value)
-        text = render_quantile_lines([analytics.state()])
+        text = render_prometheus(latency_states=[analytics.state()])
         assert text.endswith("\n")
-        assert "# TYPE repro_endpoint_latency_seconds gauge" in text
+        assert "# TYPE repro_endpoint_latency_seconds summary" in text
         assert 'repro_endpoint_latency_seconds{endpoint="/compile",quantile="0.5"}' in text
+        assert 'repro_endpoint_latency_seconds_sum{endpoint="/compile"} 0.06' in text
         assert 'repro_endpoint_latency_seconds_count{endpoint="/compile"} 3' in text
 
     def test_empty_states_render_nothing(self):
-        assert render_quantile_lines([{}, None, WorkloadAnalytics().state()]) == ""
+        assert render_prometheus(latency_states=[{}, None, WorkloadAnalytics().state()]) == "\n"

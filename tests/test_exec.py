@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.algebra import Matrix, Property
+from repro.algebra.expression import Temporary
 from repro.codegen import available_emitters, get_emitter
 from repro.exec import (
     ModuleLoader,
@@ -154,6 +155,44 @@ class TestModuleEmitter:
         assert f"ARGUMENTS = ('{first_operand}', 'B', 'C')" in first
         temporary = "T2" if first_operand == "T1" else "T1"
         assert f"    {temporary} = Y @ C  # {temporary} := Y * C\n" in first
+
+
+#: An operand named like the first temporary a fresh process mints.
+T1_SOURCE = """Matrix T1 (12, 15) <>
+Matrix B (15, 18) <>
+Matrix C (18, 200) <>
+X := T1 * B * C
+"""
+
+
+class TestOperandNamedLikeATemporary:
+    @pytest.fixture(autouse=True)
+    def fresh_counter(self):
+        # As in a fresh process: the counter's next name would be T1.
+        Temporary.reset_counter()
+
+    def test_numpy_and_julia_keep_the_operand_argument(self):
+        compiled = _compile(T1_SOURCE).assignment("X")
+        numpy_text = compiled.emit("numpy")
+        assert "def compute_x(T1, B, C):" in numpy_text
+        assert "    T2 = T1 @ B  # T2 := T1 * B\n" in numpy_text
+        assert "function compute_X(T1, B, C)" in compiled.emit("julia")
+
+    def test_stitched_module_keeps_the_operand_argument(self):
+        module = _compile(T1_SOURCE).emit("module")
+        assert "ARGUMENTS = ('T1', 'B', 'C')" in module
+        assert "def compute_x(T1, B, C):" in module
+
+    def test_operand_declared_ahead_of_the_counter(self):
+        for _ in range(4):
+            Temporary(2, 2)  # the counter would mint T5 next
+        source = T1_SOURCE.replace("T1", "T5")
+        assert "ARGUMENTS = ('T5', 'B', 'C')" in _compile(source).emit("module")
+
+    def test_execute_request_validates_with_both_engines(self):
+        response = run_execute_request(_request(T1_SOURCE, engine="both"))
+        assert response.ok, response.error
+        assert response.validated and response.engines_match
 
 
 class TestPlanSignature:
@@ -567,15 +606,6 @@ class TestExecuteEndpoint:
         )
         assert status == 400 and not body["ok"]
         assert body["phase"] == "run"
-
-    def test_metrics_exposition_has_execution_series(self, exec_service):
-        _post(f"{exec_service}/execute", {"source": CHAIN_SOURCE, "execute": {}})
-        with urllib.request.urlopen(f"{exec_service}/metrics", timeout=30) as resp:
-            text = resp.read().decode("utf-8")
-        assert "repro_execute_phase_seconds" in text
-        assert 'phase="run"' in text
-        assert "repro_execute_validation_failures" in text
-        assert 'layer="execution"' in text
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,12 @@ class TestTemporary:
         t = Temporary(2, 2)
         assert t.name == "T1"
 
+    def test_counter_skips_numbers_operands_claim(self):
+        Temporary.reset_counter()
+        Matrix("T2", 3, 3)
+        Matrix("T10x", 3, 3)  # not a temporary's name: claims nothing
+        assert [Temporary(2, 2).name for _ in range(3)] == ["T1", "T3", "T4"]
+
     def test_origin_is_recorded(self):
         a = Matrix("A", 3, 3)
         t = Temporary(3, 3, origin=a)

@@ -2,9 +2,10 @@
 
 Covers the PR 8 acceptance criteria:
 
-* ``GET /metrics`` returns well-formed Prometheus text exposition carrying
-  all seven cache-telemetry layers and the per-endpoint latency histograms
-  (with monotone cumulative buckets ending in ``le="+Inf"``);
+* ``GET /metrics`` returns valid Prometheus text exposition carrying all
+  nine telemetry layers and each latency series once, as a ``summary``
+  (quantiles, ``_sum``, ``_count``), on the in-process executor and the
+  worker pool alike;
 * request ids propagate: header -> request wire -> pool worker -> response
   body -> echoed ``X-Request-Id`` header;
 * a traced multi-segment DAG compile yields a span tree with per-segment
@@ -17,6 +18,8 @@ import io
 import json
 import logging
 import re
+import time
+import urllib.error
 import urllib.request
 
 import pytest
@@ -25,21 +28,19 @@ from repro.core import make_solver
 from repro.experiments.workload import ChainGenerator
 from repro.frontend import compile_source
 from repro.obs import (
-    DEFAULT_LATENCY_BUCKETS,
-    Histogram,
     JsonFormatter,
-    MetricsRegistry,
     Tracer,
     explain_result,
     get_logger,
     provenance_of,
     render_prometheus,
-    reset_service_metrics,
+    service_analytics,
 )
 from repro.obs.metrics import format_value, sanitize_metric_name
 from repro.options import CompileOptions
 from repro.service import CompileRequest, InProcessExecutor, WorkerPool
 from repro.service.http import start_server
+from repro import telemetry
 from repro.telemetry import CACHE_LAYERS
 
 #: A multi-assignment program that decomposes into several chain segments
@@ -67,6 +68,65 @@ def assert_well_formed_exposition(text: str) -> None:
     assert text.endswith("\n"), "exposition must end with a newline"
     for line in text.rstrip("\n").splitlines():
         assert _EXPO_LINE.match(line), f"malformed exposition line: {line!r}"
+
+
+_SAMPLE = re.compile(r"^([a-zA-Z_:][a-zA-Z0-9_:]*)(?:\{(.*)\})? (\S+)$")
+_LABEL = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
+#: The family types a suffixed sample may belong to.
+_SUFFIX_TYPES = {
+    "sum": ("summary", "histogram"),
+    "count": ("summary", "histogram"),
+    "bucket": ("histogram",),
+}
+
+
+def parse_exposition(text: str) -> dict:
+    """Family name -> ``{"type", "samples": [(name, labels, value)]}``.
+
+    Asserts the family rules of the text format along the way: one
+    ``# TYPE`` per family, declared before its samples; the samples of a
+    family are contiguous; a ``_sum``/``_count`` sample belongs to a
+    ``summary`` or ``histogram`` family, a ``_bucket`` to a histogram.
+    """
+    assert_well_formed_exposition(text)
+    families: dict = {}
+    closed: set = set()
+    current = None
+    for line in text.splitlines():
+        if line.startswith("# TYPE "):
+            _, _, name, kind = line.split(" ", 3)
+            assert name not in families, f"second # TYPE for {name}"
+            families[name] = {"type": kind, "samples": []}
+            continue
+        if line.startswith("#"):
+            continue
+        name, labels, value = _SAMPLE.match(line).groups()
+        family = name
+        if family not in families:
+            family, _, suffix = name.rpartition("_")
+            assert family in families, f"sample {name} has no # TYPE"
+            assert families[family]["type"] in _SUFFIX_TYPES.get(suffix, ()), (
+                f"{name} under a {families[family]['type']} family"
+            )
+        if family != current:
+            assert family not in closed, f"samples of {family} are not contiguous"
+            if current is not None:
+                closed.add(current)
+            current = family
+        families[family]["samples"].append(
+            (name, dict(_LABEL.findall(labels or "")), float(value))
+        )
+    return families
+
+
+def sample_value(families: dict, family: str, name: str, **labels) -> float:
+    """The one sample of *family* named *name* with exactly *labels*."""
+    (value,) = [
+        value
+        for sample, sample_labels, value in families[family]["samples"]
+        if sample == name and sample_labels == labels
+    ]
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -132,49 +192,7 @@ class TestTracer:
 # Metrics primitives
 # ---------------------------------------------------------------------------
 
-class TestHistogram:
-    def test_cumulative_buckets_are_monotone(self):
-        histogram = Histogram()
-        for value in (0.00005, 0.0003, 0.0003, 0.07, 3.0, 100.0):
-            histogram.observe(value)
-        snap = histogram.snapshot()
-        counts = [count for _, count in snap["buckets"]]
-        assert counts == sorted(counts), "cumulative counts must be monotone"
-        bounds = [bound for bound, _ in snap["buckets"]]
-        assert bounds == sorted(bounds)
-        # The 100.0 observation lands only in the +Inf overflow bucket.
-        assert snap["count"] == 6 and counts[-1] == 5
-        assert snap["sum"] == pytest.approx(103.07065)
-
-    def test_default_buckets_cover_latency_decades(self):
-        assert DEFAULT_LATENCY_BUCKETS[0] <= 1e-4
-        assert DEFAULT_LATENCY_BUCKETS[-1] >= 10.0
-
-    def test_rejects_empty_and_duplicate_bounds(self):
-        with pytest.raises(ValueError):
-            Histogram(buckets=())
-        with pytest.raises(ValueError):
-            Histogram(buckets=(0.1, 0.1))
-
-
-class TestRegistryAndExposition:
-    def test_registry_renders_histogram_triple(self):
-        registry = MetricsRegistry()
-        registry.histogram(
-            "repro_request_latency_seconds",
-            help_text="latency",
-            endpoint="/compile",
-            method="POST",
-        ).observe(0.02)
-        text = "\n".join(registry.render()) + "\n"
-        assert_well_formed_exposition(text)
-        assert "# TYPE repro_request_latency_seconds histogram" in text
-        assert 'le="+Inf"' in text
-        assert re.search(
-            r'repro_request_latency_seconds_count\{endpoint="/compile",method="POST"\} 1',
-            text,
-        )
-
+class TestExposition:
     def test_render_prometheus_layers_and_gauges(self):
         layers = {
             "plan_cache": {"hits": 3, "misses": 1, "hit_rate": 0.75},
@@ -330,7 +348,7 @@ class TestTracedCompile:
 
 @pytest.fixture(scope="class")
 def obs_service():
-    reset_service_metrics()
+    service_analytics().reset()
     executor = InProcessExecutor()
     server, thread = start_server(executor, port=0)
     base = f"http://127.0.0.1:{server.server_address[1]}"
@@ -338,7 +356,7 @@ def obs_service():
     server.shutdown()
     thread.join(timeout=5.0)
     executor.close()
-    reset_service_metrics()
+    service_analytics().reset()
 
 
 def _request(url, payload=None, headers=None):
@@ -353,7 +371,7 @@ def _request(url, payload=None, headers=None):
 
 class TestServiceObservability:
     def test_metrics_exposition_is_well_formed_with_all_layers(self, obs_service):
-        # Generate some traffic first so histograms and telemetry are live.
+        # Generate some traffic first so the latency sketches and telemetry are live.
         _request(
             f"{obs_service}/compile",
             {"source": "Matrix A (10, 10) <>\nMatrix B (10, 5) <>\nX := A * B\n"},
@@ -367,16 +385,23 @@ class TestServiceObservability:
             assert f'layer="{layer}"' in text, f"missing telemetry layer {layer}"
         assert "repro_service_workers" in text
         assert "repro_pool_requests" in text
-        # Histogram triple with cumulative buckets per endpoint.
-        assert "# TYPE repro_request_latency_seconds histogram" in text
-        assert 'endpoint="/compile"' in text and 'le="+Inf"' in text
-        buckets = [
-            int(line.rsplit(" ", 1)[1])
-            for line in text.splitlines()
-            if line.startswith("repro_request_latency_seconds_bucket")
-            and 'endpoint="/compile"' in line
+        # One summary per latency series: quantiles, _sum and _count.
+        families = parse_exposition(text)
+        endpoint = families["repro_endpoint_latency_seconds"]
+        assert endpoint["type"] == "summary"
+        compile_series = [
+            (name, labels)
+            for name, labels, _ in endpoint["samples"]
+            if labels.get("endpoint") == "/compile"
         ]
-        assert buckets and buckets == sorted(buckets)
+        assert {labels.get("quantile") for _, labels in compile_series} == {
+            "0.5", "0.95", "0.99", None
+        }
+        assert {name for name, _ in compile_series} == {
+            "repro_endpoint_latency_seconds",
+            "repro_endpoint_latency_seconds_sum",
+            "repro_endpoint_latency_seconds_count",
+        }
 
     def test_request_id_header_is_echoed_and_propagates(self, obs_service):
         marker = "obs-test-req-12345"
@@ -406,6 +431,107 @@ class TestServiceObservability:
         status, headers, body = _request(f"{obs_service}/healthz")
         assert status == 200
         assert re.fullmatch(r"[0-9a-f]{32}", headers["X-Request-Id"])
+
+
+def _status_of(url, payload=None):
+    try:
+        return _request(url, payload)[0]
+    except urllib.error.HTTPError as error:
+        return error.code
+
+
+def _scrape_until(base, sent, deadline_s=10.0):
+    """Scrape ``/metrics`` until every endpoint in *sent* has its count.
+
+    The server records a request's latency after writing its response,
+    so the last request may still be in flight when the client moves on.
+    """
+    deadline = time.monotonic() + deadline_s
+    while True:
+        families = parse_exposition(_request(f"{base}/metrics")[2])
+        counts = {
+            labels["endpoint"]: value
+            for name, labels, value in families["repro_endpoint_latency_seconds"][
+                "samples"
+            ]
+            if name.endswith("_count")
+        }
+        if all(counts.get(ep) == n for ep, n in sent.items()):
+            return families, counts
+        assert time.monotonic() < deadline, f"endpoint counts {counts} != {sent}"
+        time.sleep(0.05)
+
+
+@pytest.fixture(params=["in_process", "pool"])
+def exposition_service(request):
+    # Fresh counters and sketches (forked pool workers inherit them).
+    telemetry.reset()
+    service_analytics().reset()
+    if request.param == "pool":
+        executor = WorkerPool(
+            workers=2, max_inflight_per_worker=1, request_timeout=120.0
+        )
+    else:
+        executor = InProcessExecutor(max_inflight=2)
+    server, thread = start_server(executor, port=0)
+    yield f"http://127.0.0.1:{server.server_address[1]}"
+    server.shutdown()
+    thread.join(timeout=5.0)
+    executor.close()
+    telemetry.reset()
+    service_analytics().reset()
+
+
+class TestExpositionValidity:
+    def test_metrics_is_valid_with_one_summary_per_latency(self, exposition_service):
+        base = exposition_service
+        for n in (6, 7, 8):
+            source = f"Matrix A ({n}, {n}) <>\nMatrix B ({n}, 4) <>\nX := A * A * B\n"
+            assert _status_of(f"{base}/compile", {"source": source}) == 200
+        assert (
+            _status_of(f"{base}/execute", {"source": DAG_SOURCE, "execute": {}})
+            == 200
+        )
+        # Three requests exceed both executors' in-flight bound of two.
+        batch = {"requests": [{"source": DAG_SOURCE}] * 3}
+        assert _status_of(f"{base}/batch", batch) == 429
+        assert _status_of(f"{base}/no-such-path") == 404
+        sent = {"/compile": 3, "/execute": 1, "/batch": 1, "other": 1}
+        families, counts = _scrape_until(base, sent)
+        assert set(counts) <= set(sent) | {"/metrics"}
+        assert "histogram" not in {family["type"] for family in families.values()}
+
+        latency = {
+            name: family
+            for name, family in families.items()
+            if name.endswith("_latency_seconds")
+        }
+        assert set(latency) == {
+            "repro_endpoint_latency_seconds",
+            "repro_compile_phase_latency_seconds",
+            "repro_execute_phase_latency_seconds",
+        }
+        for name, family in latency.items():
+            assert family["type"] == "summary"
+            series: dict = {}
+            for sample, labels, _ in family["samples"]:
+                key = tuple(sorted((k, v) for k, v in labels.items() if k != "quantile"))
+                series.setdefault(key, set()).add(
+                    labels.get("quantile") or sample[len(name):]
+                )
+            for key, parts in series.items():
+                assert parts == {"0.5", "0.95", "0.99", "_sum", "_count"}, (name, key)
+
+        run_phase = "repro_execute_phase_latency_seconds"
+        assert sample_value(families, run_phase, f"{run_phase}_count", phase="run") == 1
+        failures = "repro_validation_failures"
+        assert sample_value(families, failures, failures, layer="execution") == 0
+        # Worker sketches merge: one solve per program-cache miss, fleet-wide
+        # (the three compiles spread over both pool workers).
+        solve = "repro_compile_phase_latency_seconds"
+        misses = sample_value(families, "repro_misses", "repro_misses", layer="program_cache")
+        assert misses >= 3
+        assert sample_value(families, solve, f"{solve}_count", phase="solve") == misses
 
 
 class TestRequestIdThroughPool:
